@@ -73,6 +73,7 @@ from .exchange import (
     bucketed_join,
     collect_table,
     ensure_schema,
+    pinned_table,
     semi_filter_auto,
 )
 from .hashing import fmix64
@@ -254,11 +255,74 @@ def component_candidate_pairs(
     ), cand
 
 
+def _verify_group(g: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """Verified edges (a, b, sim) of one co-located signature group: its
+    exact candidate pairs (``_pairs_of_group``) checked with the
+    ``_compare_slice`` agreement kernel, plus set-hash equality in exact
+    mode. ``cfg.verify_threshold <= 0`` keeps every pair with sim 1.0."""
+    from .verify import _compare_slice, _prep_sigs
+
+    a, b = _pairs_of_group(g, cfg)
+    if not len(a):
+        return _EMPTY_EDGES
+    if cfg.verify_threshold <= 0:
+        sim = np.ones(len(a))
+        keep = np.ones(len(a), dtype=bool)
+    else:
+        sim = _compare_slice(
+            _prep_sigs(g.select(["doc_hash", "sig"]), cfg.num_perm), a, b,
+            cfg.num_perm,
+        )
+        keep = sim >= cfg.verify_threshold
+    if cfg.exact_set_verify:
+        dh = g.column("doc_hash").to_numpy(zero_copy_only=False)
+        sh = g.column("set_hash").to_numpy(zero_copy_only=False)
+        o = np.argsort(dh)
+        dh_s, sh_s = dh[o], sh[o]
+        # a, b are group members by construction — searchsorted hits
+        ia = np.searchsorted(dh_s, a)
+        ib = np.searchsorted(dh_s, b)
+        keep &= sh_s[ia] == sh_s[ib]
+    return pa.table(
+        {
+            "a": pa.array(a[keep], pa.int64()),
+            "b": pa.array(b[keep], pa.int64()),
+            "sim": pa.array(sim[keep], pa.float64()),
+        }
+    )
+
+
+def memory_verified_edges(sigs: Dataset, cfg: DedupConfig) -> pa.Table | None:
+    """The memory tier of ``component_verified_edges``: a materialized
+    ``sigs`` within ``exchange.pinned_table``'s guard is read onto the
+    driver and verified as ONE group (``_verify_group`` over every
+    signature) — no execution, edges as an Arrow table. ``None`` when
+    ``sigs`` is lazy or over the guard.
+
+    The output equals the component path's: a bucket never spans two
+    components, so the per-bucket pair set over all signatures is the
+    union of the per-component ones, and singleton buckets emit
+    nothing."""
+    t = pinned_table(sigs, _sig_cols(cfg))
+    return None if t is None else _verify_group(t, cfg)
+
+
+def _sig_cols(cfg: DedupConfig) -> list[str]:
+    cols = ["doc_hash", "sig", "n_shingles"]
+    return cols + ["set_hash"] if cfg.exact_set_verify else cols
+
+
 def component_verified_edges(
     sigs: Dataset, cfg: DedupConfig, dataset_labels: bool = False
 ) -> Dataset:
     """signatures → verified edge Dataset (a, b, sim), generated and
     checked inside the component groups.
+
+    Tiers: the memory tier (``memory_verified_edges``) while ``sigs``
+    is a pin within the guard; otherwise star pass → components (driver
+    or LP, see ``_tagged_sig_rows``) → per-group regen + verify.
+    ``dataset_labels`` always takes the Dataset tiers (edges never
+    transit the driver).
 
     Verification is the same ``_compare_slice`` agreement kernel as the
     driver/broadcast/join paths (bit-identical sims), applied to the
@@ -266,47 +330,15 @@ def component_verified_edges(
     requires equal shingle-set hashes, so callers need no separate
     set-hash filter pass. ``cfg.verify_threshold <= 0`` keeps every
     pair with sim 1.0 (``verify_pairs`` semantics)."""
-    from .verify import _compare_slice, _prep_sigs
-
-    cols = ["doc_hash", "sig", "n_shingles"]
-    if cfg.exact_set_verify:
-        cols.append("set_hash")
-    tagged, _, n_stars = _tagged_sig_rows(sigs, cfg, dataset_labels, cols)
+    if not dataset_labels:
+        edges = memory_verified_edges(sigs, cfg)
+        if edges is not None:
+            return rd.from_arrow(edges)
+    tagged, _, n_stars = _tagged_sig_rows(sigs, cfg, dataset_labels, _sig_cols(cfg))
     if tagged is None:
         return rd.from_arrow(_EMPTY_EDGES)
-    thr = cfg.verify_threshold
-    npm = cfg.num_perm
-    exact = cfg.exact_set_verify
-
-    def gen_verify(g: pa.Table) -> pa.Table:
-        a, b = _pairs_of_group(g, cfg)
-        if not len(a):
-            return _EMPTY_EDGES
-        if thr <= 0:
-            sim = np.ones(len(a))
-            keep = np.ones(len(a), dtype=bool)
-        else:
-            sim = _compare_slice(
-                _prep_sigs(g.select(["doc_hash", "sig"]), npm), a, b, npm
-            )
-            keep = sim >= thr
-        if exact:
-            dh = g.column("doc_hash").to_numpy(zero_copy_only=False)
-            sh = g.column("set_hash").to_numpy(zero_copy_only=False)
-            o = np.argsort(dh)
-            dh_s, sh_s = dh[o], sh[o]
-            # a, b are group members by construction — searchsorted hits
-            ia = np.searchsorted(dh_s, a)
-            ib = np.searchsorted(dh_s, b)
-            keep &= sh_s[ia] == sh_s[ib]
-        return pa.table(
-            {
-                "a": pa.array(a[keep], pa.int64()),
-                "b": pa.array(b[keep], pa.int64()),
-                "sim": pa.array(sim[keep], pa.float64()),
-            }
-        )
-
     return ensure_schema(
-        _grouped(tagged, cfg, gen_verify, n_cand_hint=2 * n_stars), EDGES_SCHEMA
+        _grouped(tagged, cfg, lambda g: _verify_group(g, cfg),
+                 n_cand_hint=2 * n_stars),
+        EDGES_SCHEMA,
     )

@@ -26,8 +26,19 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from .config import DedupConfig
-from .exchange import broadcast_map_i64, dup_key_counts, dup_keys, semi_filter
+from .exchange import (
+    _dups_np,
+    broadcast_map_i64,
+    dup_key_counts,
+    dup_keys,
+    ensure_schema,
+    pinned_table,
+    semi_filter,
+)
 from .ingest import ingest
+from .schema import CLUSTERS
+
+_OUT = CLUSTERS.append(pa.field("redundant_bytes", pa.int64()))
 
 
 def _dup_fulls(
@@ -45,13 +56,27 @@ def _dup_fulls(
     globally-duplicated doc_hash survives stages 1-2 automatically, so
     stage-3 counts over narrow survivors equal counts over full-row
     survivors (pinned by the `cascade_stage_counts` oracle).
+
+    Two tiers, same keys and counts: a pin that fits
+    ``exchange.pinned_table``'s guard prunes in memory from ONE read of
+    its blocks (no execution); otherwise each stage is a narrow count
+    exchange + semi-filter.
     """
+    cols = ["size_bytes", "short_hash", "doc_hash"]
+    t = pinned_table(ingested, cols)
+    if t is not None:
+        size, short, full = (
+            t.column(c).to_numpy(zero_copy_only=False) for c in cols
+        )
+        keep = np.isin(size, _dups_np(size)[0])
+        keep[keep] = np.isin(short[keep], _dups_np(short[keep])[0])
+        return _dups_np(full[keep])
     # the documented convention (config.py): every exchange helper gets
     # the caller's broadcast cap + bucket count, so tuning them actually
     # takes effect on this path
     cap = cfg.broadcast_max_rows if cfg is not None else None
     nb = cfg.join_buckets if cfg is not None else 32
-    narrow = ingested.select_columns(["size_bytes", "short_hash", "doc_hash"])
+    narrow = ingested.select_columns(cols)
     sizes = dup_keys(narrow, "size_bytes")
     n1 = semi_filter(narrow, "size_bytes", sizes, max_broadcast_rows=cap, n_buckets=nb)
     shorts = dup_keys(n1, "short_hash")
@@ -86,9 +111,11 @@ def exact_clusters(pages: Dataset, cfg: DedupConfig | None = None) -> Dataset:
     url≅hard-link mapping (every url beyond the first is redundant).
     """
     cfg = cfg or DedupConfig()
-    ing = ingest(pages, cfg).materialize()
-    # cascade counts from ONE narrow pass chain; the emit below fuses the
-    # survivor filter and the cluster columns into a single text pass
+    # pin only the narrow columns the cascade and the emit read: the
+    # text is consumed by ingest's hashing and never enters the store
+    ing = ingest(pages, cfg).select_columns(
+        ["url", "size_bytes", "short_hash", "doc_hash"]
+    ).materialize()
     keys, cnts = _dup_fulls(ing, cfg)
     # dup-bounded count map attaches through the size-guarded broadcast
     # helper (falls back to a bucketed join past the cap); misses get 0
@@ -114,7 +141,8 @@ def exact_clusters(pages: Dataset, cfg: DedupConfig | None = None) -> Dataset:
         )
         return out.filter(pa.array(n > 1))
 
-    return sized.map_batches(emit, batch_format="pyarrow")
+    # typed even when no block reaches the emit (an empty corpus)
+    return ensure_schema(sized.map_batches(emit, batch_format="pyarrow"), _OUT)
 
 
 def dedup_corpus(pages: Dataset, cfg: DedupConfig) -> Dataset:

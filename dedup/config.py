@@ -76,7 +76,9 @@ class DedupConfig:
     # at 500k docs: verify 12.2s@2cpus → 11.8s@8cpus on the driver path
     # vs 10.6s → 4.4s on the distributed path, identical edges). Keep the
     # driver path only where Ray's fixed multi-stage latency (~2-4s)
-    # would dominate: small candidate streams.
+    # would dominate: small candidate streams. Read by the classic verify
+    # tiers and simhash only; the default components path sizes its
+    # memory tier by signature rows (exchange._DRIVER_READ_MAX) instead.
     driver_verify_max: int = 500_000
     # distributed backend: verify against a plasma-broadcast candidate
     # signature matrix while the candidate-involved doc count fits this

@@ -111,6 +111,19 @@ def bucketed_sum_by_key(
 # so past the crossover the exchange also buys scaling efficiency.
 _DRIVER_AGG_MAX = 5_000_000  # 16 B each → ≤ ~80 MB on the driver
 
+# rows of a MATERIALIZED Dataset up to which a narrow pass reads the
+# pinned blocks onto the driver (``pinned_table``) instead of paying a
+# Ray Data execution (~27 ms + ~7 ms per task before any work). Sized by
+# the heaviest memory-tier caller, verification over every signature
+# (candidates.component_verified_edges). Measured on 4 cores (Ray 4
+# CPUs, half-duplicated corpus) the memory tier led at every size tried:
+# 0.02 vs 0.39 s at 1.2k signatures, 3.4 vs 5.7 s at 120k, 9.2 vs 13.0 s
+# at 240k. No crossover showed, but the memory tier is serial driver
+# work that more CPUs do not shorten, so the cap is one exchange group
+# (candidates._GROUP_DOCS_TARGET): the driver never holds more than one
+# exchange worker would (~128 MB of signatures + ~128 MB of band keys).
+_DRIVER_READ_MAX = 250_000
+
 
 def merged_threshold_keys(
     partials: Dataset,
@@ -198,14 +211,54 @@ def driver_merge_threshold(
     return uk[m], uc[m]
 
 
+def pinned_table(
+    ds: Dataset, cols: list[str], max_rows: int | None = None
+) -> "pa.Table | None":
+    """The memory tier of a narrow pass: ``cols`` of a MATERIALIZED
+    Dataset as one Arrow table, read from its pinned blocks — no
+    execution. ``None`` when ``ds`` is lazy or holds more than
+    ``max_rows`` rows (default ``_DRIVER_READ_MAX``; the count comes from
+    block metadata); the caller then takes its exchange tier. A pin with
+    no blocks at all yields null-typed empty columns."""
+    from ray.data.block import BlockAccessor
+    from ray.data.dataset import MaterializedDataset
+
+    cap = _DRIVER_READ_MAX if max_rows is None else max_rows
+    if not isinstance(ds, MaterializedDataset) or ds.count() > cap:
+        return None
+    # a materialized plan returns its snapshot: no executor starts
+    bundle = ds._plan.execute()
+    blocks = map(BlockAccessor.for_block, ray.get(list(bundle.block_refs)))
+    tables = [b.to_arrow().select(cols) for b in blocks if b.num_rows()]
+    if tables:
+        return pa.concat_tables(tables, promote_options="default")
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:  # no blocks at all: nothing to type the columns by
+        return pa.table({c: pa.nulls(0) for c in cols})
+    return pa.schema(schema.base_schema).empty_table().select(cols)
+
+
+def _dups_np(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted values occurring >1, their counts) of one in-memory column."""
+    if not len(col):  # an untyped empty pin counts like the exchange's
+        col = np.empty(0, np.int64)
+    k, c = np.unique(col, return_counts=True)
+    m = c > 1
+    return k[m], c[m].astype(np.int64)
+
+
 def dup_key_counts(ds: Dataset, key_col: str) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted keys occurring >1, their counts) — one execution.
+    """(sorted keys occurring >1, their counts) — no execution over a
+    small pinned Dataset (``pinned_table``), one otherwise.
 
     ≅ singleton-group pruning (process_matches.rs:51-61) expressed as a
     narrow aggregate; the merge policy lives in ``merged_threshold_keys``
     (the combiner here is a cheap column scan, so over-bound
     re-execution is acceptable).
     """
+    t = pinned_table(ds, [key_col])
+    if t is not None:
+        return _dups_np(t.column(key_col).to_numpy(zero_copy_only=False))
     partial = ds.map_batches(_batch_key_counts(key_col), batch_format="pyarrow")
     return merged_threshold_keys(
         partial, key_col, "partial_cnt", 2, return_counts=True
@@ -668,18 +721,33 @@ def ensure_schema(ds: Dataset, schema: pa.Schema) -> Dataset:
     return ds.union(rd.from_arrow(pa.table(cols)))
 
 
-def collect_table(ds: Dataset, limit_rows: int | None = None) -> pa.Table:
-    """Stream a (small) dataset to one Arrow table on the driver."""
-    batches = []
-    n = 0
-    for b in ds.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
-        batches.append(b)
-        n += len(b)
+def collect_table(
+    ds: Dataset, limit_rows: int | None = None, schema: pa.Schema | None = None
+) -> pa.Table:
+    """Stream a (small) dataset to one Arrow table on the driver.
+
+    An empty result takes its schema from ``schema`` (the caller's known
+    output schema), else from the executed blocks; only when neither
+    exists does ``ds.schema()`` run a second, probing execution."""
+    from ray.data.block import BlockAccessor
+
+    tables, n, seen = [], 0, None
+    for bundle in ds.iter_internal_ref_bundles():
+        seen = seen or bundle.schema
+        for b in ray.get(list(bundle.block_refs)):
+            acc = BlockAccessor.for_block(b)
+            if acc.num_rows():
+                tables.append(acc.to_arrow())
+                n += acc.num_rows()
         if limit_rows is not None and n >= limit_rows:
             break
-    if not batches:
+    if tables:
+        return pa.concat_tables(tables, promote_options="default")
+    if schema is None and isinstance(seen, pa.Schema):
+        schema = seen
+    if schema is None:
         try:
-            return pa.Table.from_batches([], schema=pa.schema(ds.schema().base_schema))
+            schema = pa.schema(ds.schema().base_schema)
         except Exception:
             return pa.table({})
-    return pa.concat_tables(batches)
+    return schema.empty_table()

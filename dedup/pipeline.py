@@ -189,6 +189,10 @@ def _sign_distinct_fused(
         sig_tbl = signer(
             t.filter(pa.array(~isdup)).select(["doc_hash", "text"])
         )
+        if not len(ks):
+            # no duplicated hash anywhere: pass B's output IS the
+            # signature table (no carried rows to split off later)
+            return sig_tbl
         sig_type = sig_tbl.schema.field("sig").type
         out = sig_tbl.append_column(
             "text", pa.nulls(len(sig_tbl), pa.string())
@@ -215,6 +219,8 @@ def _sign_distinct_fused(
         ingest_filter_sign, batch_format="pyarrow",
         batch_size=cfg.batch_size, zero_copy_batch=True,
     ).materialize()
+    if len(dups) == 0:
+        return passb
 
     def only_sigs(batch: pa.Table) -> pa.Table:
         m = pc.is_null(batch.column("text"))
@@ -231,9 +237,6 @@ def _sign_distinct_fused(
     # lets the pass-B blocks (which still carry the dup-rep texts) be
     # released instead of being re-filtered per consumer
     uniq_sigs = passb.map_batches(only_sigs, batch_format="pyarrow")
-    if len(dups) == 0:
-        return uniq_sigs.materialize()
-
     from .exchange import _add_bucket
 
     rep_texts = (
@@ -425,19 +428,29 @@ def near_dup_pipeline(
     else:
         if use_components:
             # component-localized generation + in-group verification:
-            # star pass → components → exact per-component regen +
-            # signature agreement (and exact-mode set-hash equality)
-            # checked where the pairs are born — no pair shuffle, no
-            # broadcast signature matrix (see dedup/candidates.py). The
-            # verified edge set is dup-bounded; collecting it here is the
-            # same driver visit the classic path's verify tiers make.
-            from .candidates import component_verified_edges
+            # small pinned signatures verify as one group on the driver
+            # (memory tier, no execution); otherwise star pass →
+            # components → exact per-component regen + signature
+            # agreement (and exact-mode set-hash equality) checked where
+            # the pairs are born — no pair shuffle, no broadcast
+            # signature matrix (see dedup/candidates.py). The verified
+            # edge set is dup-bounded; collecting it here is the same
+            # driver visit the classic path's verify tiers make.
+            from .candidates import (
+                EDGES_SCHEMA,
+                component_verified_edges,
+                memory_verified_edges,
+            )
             from .exchange import collect_table
 
-            edges = collect_table(component_verified_edges(sigs, cfg))
-            if len(edges) == 0:
-                edges = _EDGES_EMPTY
-            tick("bands+stars+components+pairs+verify")
+            edges = memory_verified_edges(sigs, cfg)
+            if edges is not None:
+                tick("candidates (memory tier: one group)")
+            else:
+                edges = collect_table(
+                    component_verified_edges(sigs, cfg), schema=EDGES_SCHEMA
+                )
+                tick("candidates (exchange tier: stars+components+groups)")
         else:
             pairs = gen_pairs()
             tick("bands+sort+pairs")

@@ -21,6 +21,13 @@ from dedup.verify import dedup_pairs
 def _sigs(cfg):
     table, _ = make_pages(n_exact_groups=4, n_near_groups=8, n_singletons=40,
                           n_negative_pairs=4)
+    # an upper-cased copy: different bytes, identical shingle set, so
+    # exact-set mode has an edge to keep
+    i = table["url"].to_pylist().index("https://near0.example.com/v0")
+    twin = table.slice(i, 1).to_pydict()
+    twin["url"] = ["https://near0.example.com/upper"]
+    twin["text"] = [twin["text"][0].upper()]
+    table = pa.concat_tables([table, pa.table(twin, schema=table.schema)])
     pages = rd.from_arrow(table)
     ing = ingest(pages, cfg).materialize()
     reps = distinct_reps(ing).materialize()
@@ -93,11 +100,31 @@ def test_segment_pairs_allpairs_and_star():
     assert len(e1) == 0 and len(e2) == 0
 
 
+def _edges_by_tier(sigs, cfg) -> dict:
+    """Verified edges from each tier of ``component_verified_edges``:
+    the memory tier (pinned signatures, one group), the exchange tier
+    with driver components (a lazy input skips the memory tier) and the
+    label-propagation tier (``dataset_labels``)."""
+    from dedup.candidates import component_verified_edges, memory_verified_edges
+
+    mem = memory_verified_edges(sigs, cfg)
+    assert mem is not None
+    assert mem.equals(collect_table(component_verified_edges(sigs, cfg)))
+    lazy = sigs.map_batches(lambda t: t, batch_format="pyarrow")
+    assert memory_verified_edges(lazy, cfg) is None
+    return {
+        "memory": mem,
+        "driver-components": collect_table(component_verified_edges(lazy, cfg)),
+        "label-propagation": collect_table(
+            component_verified_edges(sigs, cfg, dataset_labels=True)
+        ),
+    }
+
+
 def test_component_verified_edges_match_classic_verify():
     """In-group verification must produce the classic broadcast path's
-    exact edge set WITH bit-identical sims, on both tiers, in both
+    exact edge set WITH bit-identical sims, on every tier, in both
     threshold and exact-set modes."""
-    from dedup.candidates import component_verified_edges
     from dedup.verify import verify_broadcast
 
     for kw in ({}, {"exact_set_verify": True, "verify_threshold": 1.0}):
@@ -116,25 +143,28 @@ def test_component_verified_edges_match_classic_verify():
             for a, b, s in zip(classic["a"].to_pylist(), classic["b"].to_pylist(),
                                classic["sim"].to_pylist())
         }
-        for dl in (False, True):
-            got_t = collect_table(component_verified_edges(sigs, cfg, dataset_labels=dl))
+        assert want
+        for tier, got_t in _edges_by_tier(sigs, cfg).items():
             got = {
                 (a, b): s
                 for a, b, s in zip(got_t["a"].to_pylist(), got_t["b"].to_pylist(),
                                    got_t["sim"].to_pylist())
             }
-            assert got == want, (kw, dl)
+            assert got == want, (kw, tier)
+            assert len(got_t) == len(got), (kw, tier)  # no repeated edge
 
 
 def test_component_verified_edges_threshold_zero_keeps_all():
-    from dedup.candidates import component_candidate_pairs, component_verified_edges
+    from dedup.candidates import component_candidate_pairs
 
     cfg = DedupConfig(min_size=1, verify_threshold=0.0)
     sigs = _sigs(cfg)
     pairs, _ = component_candidate_pairs(sigs, cfg)
-    edges = collect_table(component_verified_edges(sigs, cfg))
-    assert _pair_set(edges) == _pair_set(collect_table(pairs))
-    assert set(edges["sim"].to_pylist()) == {1.0}
+    want = _pair_set(collect_table(pairs))
+    assert want
+    for tier, edges in _edges_by_tier(sigs, cfg).items():
+        assert _pair_set(edges) == want, tier
+        assert set(edges["sim"].to_pylist()) == {1.0}, tier
 
 
 def test_component_pairs_empty_corpus():

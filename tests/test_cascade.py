@@ -70,3 +70,56 @@ def test_short_hash_refines_within_size():
     })
     out = exact_clusters(rd.from_arrow(t), DedupConfig(min_size=1))
     assert _partition(out) == [["u3", "u4"]]
+
+
+def _pages(texts, prefix="u"):
+    import pyarrow as pa
+    from dedup.synth import BASE_TS
+
+    n = len(texts)
+    return pa.table({
+        "url": pa.array([f"{prefix}{i}" for i in range(n)], pa.string()),
+        "warc_ts": pa.array([BASE_TS] * n, pa.timestamp("us")),
+        "html": pa.array([b""] * n, pa.binary()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+    })
+
+
+def _degenerate_corpora():
+    t = _pages(["same text", "other", "same text", "x"])
+    return {
+        "empty": rd.from_arrow(_pages([])),
+        "all_identical": rd.from_arrow(_pages(["one body"] * 5)),
+        "zero_row_blocks": rd.from_arrow(
+            [_pages([]), t, _pages([]), _pages(["other", "y"], prefix="w")]
+        ),
+        "all_null_text": rd.from_arrow(_pages([None, None, None])),
+    }
+
+
+def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
+    """The memory tier (pinned read, in-memory prune) and the exchange
+    tier (count exchanges + semi-filters) give the same clusters table,
+    schema included, on degenerate corpora."""
+    import dedup.exchange as ex
+    from dedup.exchange import collect_table
+    from dedup.schema import CLUSTERS
+
+    cols = CLUSTERS.names + ["redundant_bytes"]
+    want = {
+        "empty": [], "all_identical": [[f"u{i}" for i in range(5)]],
+        "zero_row_blocks": [["u0", "u2"], ["u1", "w0"]], "all_null_text": [],
+    }
+    for name, ds in _degenerate_corpora().items():
+        got = []
+        for guard in (None, -1):  # -1: no pin fits → exchange tier
+            if guard is not None:
+                monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
+            t = collect_table(exact_clusters(ds, DedupConfig(min_size=1)))
+            monkeypatch.undo()
+            got.append(t.sort_by("url"))
+        mem, exch = got
+        assert mem.column_names == cols, name
+        assert mem.equals(exch), name
+        assert _partition(rd.from_arrow(mem)) == want[name], name

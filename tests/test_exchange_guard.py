@@ -106,18 +106,40 @@ def test_merged_threshold_keys_branches_identical(monkeypatch):
 
 
 def test_dup_key_counts_both_branches(monkeypatch):
-    """``dup_key_counts`` (>1 occurrences) via both merge plans."""
+    """``dup_key_counts`` (>1 occurrences) via all three plans: the
+    pinned read of a materialized Dataset, a lazy map merged on the
+    driver, and the bucketed exchange merge."""
     import dedup.exchange as ex
 
     vals = np.array([5, 5, 5, -9, -9, 7, 0, 0], np.int64)
     ds = rd.from_arrow(pa.table({"k": pa.array(vals, pa.int64())}))
-    k1, c1 = ex.dup_key_counts(ds, "k")
+    assert ex.pinned_table(ds, ["k"]) is not None
+    lazy = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    assert ex.pinned_table(lazy, ["k"]) is None
+    got = [ex.dup_key_counts(ds, "k"), ex.dup_key_counts(lazy, "k")]
     monkeypatch.setattr(ex, "_DRIVER_AGG_MAX", 0)
-    k2, c2 = ex.dup_key_counts(ds, "k")
+    got.append(ex.dup_key_counts(lazy, "k"))
     exp = {-9: 2, 0: 2, 5: 3}
-    for k, c in ((k1, c1), (k2, c2)):
+    for k, c in got:
         assert dict(zip(k.tolist(), c.tolist())) == exp
         assert np.array_equal(k, np.sort(k))
+        assert k.dtype == np.int64 and c.dtype == np.int64
+
+
+def test_pinned_table_guard_and_empty_blocks():
+    """``pinned_table`` reads only materialized Datasets within its row
+    guard, skips zero-row blocks, and types an all-empty pin from the
+    Dataset's schema."""
+    import dedup.exchange as ex
+
+    t = pa.table({"k": pa.array([1, 2, 2], pa.int64()), "v": ["a", "b", "c"]})
+    empty = t.slice(0, 0)
+    ds = rd.from_arrow([empty, t, empty, t])
+    got = ex.pinned_table(ds, ["k"])
+    assert got.column_names == ["k"] and got["k"].to_pylist() == [1, 2, 2] * 2
+    assert ex.pinned_table(ds, ["k"], max_rows=5) is None
+    e = ex.pinned_table(rd.from_arrow(empty), ["v"])
+    assert e.num_rows == 0 and e.schema.field("v").type == pa.string()
 
 
 def test_small_join_rejects_duplicate_right_keys():
