@@ -31,6 +31,7 @@ from .exchange import dup_key_counts, dup_keys, semi_filter
 from .ingest import ingest
 from .lsh import band_rows, candidate_pairs
 from .minhash import sign
+from .schema import CLUSTERS
 from .verify import verify_auto
 
 
@@ -478,11 +479,37 @@ def near_dup_pipeline(
             edges.column("b").to_numpy(zero_copy_only=False),
         )
 
-    # Cluster sizes computed on the driver from state already in hand —
-    # no extra shuffle/collect: url count per doc_hash is 1 unless the
-    # hash is in the (small) duplicated set; a cluster's url count is the
-    # sum over its member hashes. Exact-dup-only groups (hashes never
-    # touched by an LSH edge) are their own clusters.
+    clusters = assign_clusters(ing, keys, cids, dup_hashes, dup_cnts, cfg)
+    tick("components+finish")
+    return NearDupResult(clusters=clusters, edges=edges, ingested=ing)
+
+
+def assign_clusters(
+    ing: Dataset,
+    keys: np.ndarray,
+    cids: np.ndarray,
+    dup_hashes: np.ndarray,
+    dup_cnts: np.ndarray,
+    cfg: DedupConfig,
+    schema: pa.Schema = CLUSTERS,
+) -> Dataset:
+    """Driver-side cluster assignment shared by the flagship and SimHash:
+    ingest rows + union-find components (``keys`` → ``cids``) + the url
+    count per duplicated hash (``dup_key_counts(ing, "doc_hash")``) →
+    clusters of ≥2 urls, with the columns of ``schema`` (CLUSTERS by
+    default; SimHash drops ``size_bytes``). Typed even when no row
+    survives (an empty or all-null corpus).
+
+    Cluster sizes come from state already in hand — no extra shuffle or
+    collect: url count per doc_hash is 1 unless the hash is in the
+    (small) duplicated set; a cluster's url count is the sum over its
+    member hashes. Exact-dup-only groups (hashes never touched by an
+    edge) are their own clusters. The assignment is two guarded
+    small-side joins (``exchange.small_join`` — a ray.put broadcast
+    lookup while the dup-bounded maps fit cfg.broadcast_max_rows, a
+    bucketed hash join past it)."""
+    from .exchange import ensure_schema, small_join
+
     def _count_of(hashes: np.ndarray) -> np.ndarray:
         if not len(dup_hashes):
             return np.ones(len(hashes), np.int64)
@@ -492,7 +519,7 @@ def near_dup_pipeline(
         out[hit] = dup_cnts[idx[hit]]
         return out
 
-    # UF components: size = Σ url-counts of member hashes — vectorized:
+    # components: size = Σ url-counts of member hashes — vectorized:
     # factorize component ids, bincount the per-member url counts
     if len(keys):
         kc = _count_of(keys)
@@ -514,11 +541,6 @@ def near_dup_pipeline(
     so = np.argsort(size_keys)
     size_keys, size_vals = size_keys[so], size_vals[so]
 
-    # assignment: two guarded small-side joins (exchange.small_join — a
-    # ray.put broadcast lookup while the dup-bounded maps fit
-    # cfg.broadcast_max_rows, a bucketed hash join past it).
-    from .exchange import small_join
-
     lab_t = pa.table(
         {"__node": pa.array(keys, pa.int64()), "__cid": pa.array(cids, pa.int64())}
     )
@@ -528,9 +550,9 @@ def near_dup_pipeline(
         {"__sk": pa.array(size_keys, pa.int64()),
          "cluster_size": pa.array(size_vals, pa.int64())}
     )
-    narrow = ing.select_columns(["url", "doc_hash", "size_bytes"])
+    carried = [c for c in schema.names if c not in ("cluster_id", "cluster_size")]
     withcid = small_join(
-        narrow, "doc_hash", lab_t, "__node", how="left",
+        ing.select_columns(carried), "doc_hash", lab_t, "__node", how="left",
         max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
     )
 
@@ -538,27 +560,16 @@ def near_dup_pipeline(
         import pyarrow.compute as pc
 
         cid = pc.coalesce(batch.column("__cid"), batch.column("doc_hash"))
-        return pa.table(
-            {
-                "url": batch.column("url"),
-                "doc_hash": batch.column("doc_hash"),
-                "cluster_id": cid.cast(pa.int64()) if cid.type != pa.int64() else cid,
-                "size_bytes": batch.column("size_bytes"),
-            }
+        return batch.drop_columns(["__cid"]).append_column(
+            "cluster_id", cid.cast(pa.int64()) if cid.type != pa.int64() else cid
         )
 
     clusters = small_join(
         withcid.map_batches(coalesce, batch_format="pyarrow"),
         "cluster_id", size_t, "__sk", how="inner",
         max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
-    ).map_batches(
-        lambda t: t.select(
-            ["url", "doc_hash", "cluster_id", "cluster_size", "size_bytes"]
-        ),
-        batch_format="pyarrow",
-    )
-    tick("components+finish")
-    return NearDupResult(clusters=clusters, edges=edges, ingested=ing)
+    ).map_batches(lambda t: t.select(schema.names), batch_format="pyarrow")
+    return ensure_schema(clusters, schema)
 
 
 def _near_dup_distributed(
@@ -751,16 +762,19 @@ def _near_dup_distributed(
         _MAP_SCHEMA,
     )
 
-    # the single corpus-wide exchange: inner join IS the singleton filter
-    narrow = ing.select_columns(["url", "doc_hash", "size_bytes"])
-    clusters = bucketed_join(
-        narrow, lab_sz.union(exact_only), "doc_hash", "__node",
-        n_buckets=cfg.join_buckets,
-    ).map_batches(
-        lambda t: t.select(
-            ["url", "doc_hash", "cluster_id", "cluster_size", "size_bytes"]
-        ),
-        batch_format="pyarrow",
+    # the single corpus-wide exchange: inner join IS the singleton filter.
+    # Typed: an ingest pin with no blocks reports no schema to join by.
+    carried = ["url", "doc_hash", "size_bytes"]
+    narrow = ensure_schema(
+        ing.select_columns(carried),
+        pa.schema([CLUSTERS.field(c) for c in carried]),
+    )
+    clusters = ensure_schema(
+        bucketed_join(
+            narrow, lab_sz.union(exact_only), "doc_hash", "__node",
+            n_buckets=cfg.join_buckets,
+        ).map_batches(lambda t: t.select(CLUSTERS.names), batch_format="pyarrow"),
+        CLUSTERS,
     )
     tick("assign (dataset)")
     return NearDupResult(clusters=clusters, edges=edges, ingested=ing)

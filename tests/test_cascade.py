@@ -98,6 +98,12 @@ def _degenerate_corpora():
     }
 
 
+_DEGENERATE_PARTITIONS = {
+    "empty": [], "all_identical": [[f"u{i}" for i in range(5)]],
+    "zero_row_blocks": [["u0", "u2"], ["u1", "w0"]], "all_null_text": [],
+}
+
+
 def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
     """The memory tier (pinned read, in-memory prune) and the exchange
     tier (count exchanges + semi-filters) give the same clusters table,
@@ -107,10 +113,6 @@ def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
     from dedup.schema import CLUSTERS
 
     cols = CLUSTERS.names + ["redundant_bytes"]
-    want = {
-        "empty": [], "all_identical": [[f"u{i}" for i in range(5)]],
-        "zero_row_blocks": [["u0", "u2"], ["u1", "w0"]], "all_null_text": [],
-    }
     for name, ds in _degenerate_corpora().items():
         got = []
         for guard in (None, -1):  # -1: no pin fits → exchange tier
@@ -122,4 +124,42 @@ def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
         mem, exch = got
         assert mem.column_names == cols, name
         assert mem.equals(exch), name
-        assert _partition(rd.from_arrow(mem)) == want[name], name
+        assert _partition(rd.from_arrow(mem)) == _DEGENERATE_PARTITIONS[name], name
+
+
+def test_near_dup_and_simhash_tiers_agree_on_degenerate_inputs(monkeypatch):
+    """``near_dup_pipeline`` and ``simhash_clusters`` give the same typed
+    clusters table in the memory tier and the exchange tier (and, for
+    the flagship, the ``distributed`` backend) on degenerate corpora."""
+    import dedup.exchange as ex
+    from dedup.exchange import collect_table
+    from dedup.pipeline import near_dup_pipeline
+    from dedup.schema import CLUSTERS
+    from dedup.simhash import simhash_clusters
+
+    cfg = DedupConfig(min_size=1)
+    runs = {
+        "near_dup": (
+            lambda ds, c: near_dup_pipeline(ds, c).clusters, CLUSTERS.names,
+        ),
+        "simhash": (
+            simhash_clusters, [n for n in CLUSTERS.names if n != "size_bytes"],
+        ),
+    }
+    for name, ds in _degenerate_corpora().items():
+        for op, (fn, cols) in runs.items():
+            got = []
+            for guard in (None, -1):  # -1: no pin fits → exchange tier
+                if guard is not None:
+                    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
+                got.append(collect_table(fn(ds, cfg)).sort_by("url"))
+                monkeypatch.undo()
+            if op == "near_dup":
+                dist = near_dup_pipeline(
+                    ds, DedupConfig(min_size=1, cluster_backend="distributed")
+                ).clusters
+                got.append(collect_table(dist).sort_by("url"))
+            for t in got:
+                assert t.column_names == cols, (name, op)
+                assert t.equals(got[0]), (name, op)
+            assert _partition(rd.from_arrow(got[0])) == _DEGENERATE_PARTITIONS[name], (name, op)

@@ -15,6 +15,7 @@ from dedup.cascade import exact_clusters
 from dedup.config import DedupConfig
 from dedup.exchange import collect_table
 from dedup.pipeline import near_dup_pipeline
+from dedup.simhash import simhash_clusters
 from dedup.synth import make_pages
 
 
@@ -48,6 +49,15 @@ def test_exact_clusters_executions(executions):
     out = collect_table(exact_clusters(pages, DedupConfig(min_size=1)))
     assert len(out) > 0
     assert executions[0] <= 2, executions[0]
+
+
+def test_simhash_clusters_executions(executions):
+    """Ingest pin, fingerprint pin, the caller's collect: pairs are
+    found, verified and clustered on the driver (memory tier)."""
+    pages = _pages()
+    out = collect_table(simhash_clusters(pages, DedupConfig(min_size=1)))
+    assert len(out) > 0
+    assert executions[0] <= 3, executions[0]
 
 
 def test_pinned_dup_counts_run_nothing(executions):

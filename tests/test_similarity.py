@@ -381,9 +381,8 @@ def test_simhash_combination_rows_share_key_within_ball():
     """Pigeonhole at every rung: two fingerprints within hamming_max
     share at least one combination bucket key."""
     import numpy as np
-    import ray.data as rd_
 
-    from dedup.simhash import _chunk_rows
+    from dedup.simhash import _block_keys
 
     rng = np.random.default_rng(3)
     for n_blocks, choose in ((4, 1), (5, 2), (6, 3)):
@@ -393,39 +392,46 @@ def test_simhash_combination_rows_share_key_within_ball():
             f2 = f1
             for bit in bits:
                 f2 = f2 ^ (np.uint64(1) << np.uint64(int(bit)))
-            f1, f2 = np.int64(f1.view(np.int64)), np.int64(f2.view(np.int64))
-            fps = rd_.from_arrow(
-                pa.table(
-                    {
-                        "doc_hash": pa.array([1, 2], pa.int64()),
-                        "simhash": pa.array([int(f1), int(f2)], pa.int64()),
-                        "n_shingles": pa.array([5, 5], pa.int64()),
-                    }
-                )
+            dh, bkey = _block_keys(
+                np.array([1, 2], np.int64),
+                np.array([f1, f2], np.uint64).view(np.int64),
+                np.array([5, 5], np.int64),
+                n_blocks, choose,
             )
-            t = _chunk_rows(fps, n_blocks, choose).to_pandas()
-            k1 = set(t[t["doc_hash"] == 1]["bkey"])
-            k2 = set(t[t["doc_hash"] == 2]["bkey"])
+            k1 = set(bkey[dh == 1].tolist())
+            k2 = set(bkey[dh == 2].tolist())
             assert k1 & k2, (n_blocks, choose, bits)
 
 
-def test_simhash_distributed_verify_matches_driver():
-    """driver_verify_max=0 forces the bucketed-join Hamming tier; the
-    cluster partition must be identical to the driver tier's."""
+def test_simhash_distributed_verify_matches_driver(monkeypatch):
+    """The three SimHash tiers give one cluster partition: the memory
+    tier (small pinned fingerprints), the exchange tier with the driver
+    Hamming check (no pin fits the guard) and the exchange tier with
+    the bucketed-join check (``driver_verify_max=0``) — in the default
+    mode and in exact-multiset mode."""
+    import dedup.exchange as ex
+
     pages_tbl, _ = make_pages(
         n_exact_groups=4, n_near_groups=6, n_singletons=30,
         n_negative_pairs=4, n_short_split_pairs=0,
         edit_rate_range=(0.005, 0.01),
     )
 
-    def part_of(cfg):
-        df = simhash_clusters(
-            rd.from_arrow(pages_tbl), cfg, hamming_max=3
-        ).to_pandas()
+    def part_of(cfg, **kw):
+        df = simhash_clusters(rd.from_arrow(pages_tbl), cfg, **kw).to_pandas()
         return sorted(
             tuple(sorted(g["url"])) for _, g in df.groupby("cluster_id")
         )
 
-    p_driver = part_of(DedupConfig())
-    p_dist = part_of(DedupConfig(driver_verify_max=0))
-    assert p_driver == p_dist and len(p_driver) > 0
+    for kw in ({"hamming_max": 3}, {"hamming_max": 0, "exact_multiset": True}):
+        parts = []
+        for guard, cfg in (
+            (None, DedupConfig()),  # memory tier
+            (-1, DedupConfig()),  # exchange tier, driver Hamming
+            (-1, DedupConfig(driver_verify_max=0)),  # bucketed-join Hamming
+        ):
+            if guard is not None:
+                monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
+            parts.append(part_of(cfg, **kw))
+            monkeypatch.undo()
+        assert parts[0] == parts[1] == parts[2] and len(parts[0]) > 0, kw
