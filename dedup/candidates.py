@@ -1,19 +1,20 @@
-"""Component-localized candidate generation + in-group verification.
+"""Component-localized candidate generation + in-group verification:
+the one MinHash verifier (flagship, ``distributed`` backend and
+incremental dedup all take their edges from ``_verify_group``).
 
-The classic LSH pair emission (``lsh.candidate_pairs``) writes each
-candidate pair once per band it collides in. True duplicates collide in
-nearly EVERY band — that is what makes them duplicates — so on dup-heavy
-web data the raw pair stream carries a ~``cfg.bands``-fold duplication
-that must then be removed by a corpus-wide shuffle (measured on the
+Per-band pair emission (``lsh.candidate_pairs``) writes each candidate
+pair once per band it collides in. True duplicates collide in nearly
+EVERY band — that is what makes them duplicates — so on dup-heavy web
+data the raw pair stream carries a ~``cfg.bands``-fold duplication that
+must then be removed by a corpus-wide shuffle (measured on the
 500k-page bench corpus: 51M raw pair rows ≈ 820 MB sorted down to 1.6M
 unique pairs), after which verification ships signatures around a second
-time (broadcast matrix or bucketed joins). This module does both jobs
-inside per-component groups, from shuffles an order of magnitude
-smaller:
+time. This module does both jobs inside per-component groups, from
+shuffles an order of magnitude smaller:
 
-1. **Star pass** — one band-row sort (the same sort the classic path
-   does), but emitting only bucket-min → member star edges + boundary
-   chains (``candidate_pairs(star_only=True)``): linear in bucket size.
+1. **Star pass** — one band-row sort, emitting only bucket-min → member
+   star edges + boundary chains (``candidate_pairs(star_only=True)``):
+   linear in bucket size.
 2. **Components** — the star edges are deduplicated (tiny: ≈ one row
    per duplicate-involved doc) and labeled with connected components:
    driver ``components_np`` while the edge set fits the broadcast
@@ -30,23 +31,22 @@ smaller:
    exact per-bucket pair set (``lsh.segment_pairs``: all-pairs ≤
    ``cfg.allpairs_bucket_max``, bucket-min stars beyond; the in-group
    ``unique`` IS the global exact pair dedup), and verifies the pairs
-   against the group's own signatures with the same ``_compare_slice``
-   kernel as every other verify path — plus the exact-mode set-hash
-   equality filter when configured. No pair shuffle, no broadcast
-   signature matrix, no ``sig_broadcast_max`` ceiling: a component's
-   signatures travel once, to the group that needs them.
+   against the group's own signatures with the ``_compare_slice``
+   agreement kernel — plus the exact-mode set-hash equality filter when
+   configured. No pair shuffle, no broadcast signature matrix: a
+   component's signatures travel once, to the group that needs them.
 
-vs the classic path the pair set differs only in fragment-related corner
-cases, all of which make the output batch-split-INVARIANT where classic
-depended on where sorted-block boundaries happened to fall: pairs split
-across sorted-block fragments of one bucket are no longer dropped (the
-classic path chains fragments for connectivity but skips their
-cross-fragment pairs); jumbo buckets anchor their stars at the true
-bucket min instead of per-fragment mins; and the all-pairs cap applies
-to the TRUE bucket size — an over-cap bucket that classic's block
-boundaries happened to split into under-cap fragments no longer gets
-fragment-local all-pairs (it gets the documented star treatment, like
-every other over-cap bucket). Reference anchor: the same "group, then work only
+vs per-band emission over sorted blocks the pair set differs only in
+fragment-related corner cases, all of which make the output
+batch-split-INVARIANT where sorted-block emission depended on where
+block boundaries happened to fall: pairs split across sorted-block
+fragments of one bucket are not dropped (fragment emission chains
+fragments for connectivity but skips their cross-fragment pairs); jumbo
+buckets anchor their stars at the true bucket min instead of
+per-fragment mins; and the all-pairs cap applies to the TRUE bucket
+size — an over-cap bucket that block boundaries happened to split into
+under-cap fragments does not get fragment-local all-pairs (it gets the
+documented star treatment, like every other over-cap bucket). Reference anchor: the same "group, then work only
 inside groups" shape as the reference's size→checksum cascade
 (process_matches.rs:293-407), pushed two levels further (bucket →
 component → verified edge).
@@ -108,8 +108,8 @@ def _tagged_sig_rows(
     if len(chain):
         stars = stars.union(rd.from_arrow(chain))
     # the star stream still repeats an edge once per band (dup factor ≈
-    # bands); this sort-dedup is over ~25x fewer rows than the classic
-    # path's pair stream
+    # bands); this sort-dedup is over ~25x fewer rows than a per-band
+    # all-pairs stream
     stars_d = ensure_schema(dedup_pairs_sorted(stars), PAIRS_SCHEMA).materialize()
     n_stars = stars_d.count()
     if n_stars == 0:
@@ -324,9 +324,9 @@ def component_verified_edges(
     ``dataset_labels`` always takes the Dataset tiers (edges never
     transit the driver).
 
-    Verification is the same ``_compare_slice`` agreement kernel as the
-    driver/broadcast/join paths (bit-identical sims), applied to the
-    group's own signatures; ``cfg.exact_set_verify`` additionally
+    Verification is the same ``_compare_slice`` agreement kernel as
+    ``verify.verify_pairs`` (bit-identical sims), applied to the group's
+    own signatures; ``cfg.exact_set_verify`` additionally
     requires equal shingle-set hashes, so callers need no separate
     set-hash filter pass. ``cfg.verify_threshold <= 0`` keeps every
     pair with sim 1.0 (``verify_pairs`` semantics)."""

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     ap.add_argument("--lang", nargs="*", default=None)
     ap.add_argument("--exclude-url", default=None)
     ap.add_argument(
-        "--cluster-backend", choices=["driver", "actors", "distributed"], default=None
+        "--cluster-backend", choices=["driver", "distributed"], default=None
     )
     ap.add_argument("--num-cpus", type=int, default=None)
     ap.add_argument("--print-lineage", action="store_true")

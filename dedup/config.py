@@ -53,14 +53,6 @@ class DedupConfig:
     # (deterministic partition = "identical distinct-shingle set", which a
     # SQL oracle can reproduce; signature equality alone is probabilistic)
     exact_set_verify: bool = False
-    # candidate generation: "components" = star pass → connected
-    # components → exact per-component regeneration (same per-bucket pair
-    # semantics, ~bands-fold smaller pair shuffle on dup-heavy corpora —
-    # see dedup/candidates.py); "classic" = per-band all-pairs emission +
-    # corpus-wide pair dedup. SEMANTIC in two corner cases (fragment
-    # cross-pairs, jumbo-star anchors), hence fingerprinted off-default
-    # and covered by schema v5's p4_edges invalidation.
-    candidate_path: str = "components"
 
     # --- execution
     batch_size: int = 4096
@@ -69,30 +61,18 @@ class DedupConfig:
     sign_partitions: int = 8
     signer_concurrency: int = 16  # MinHash actor pool max (autoscales from 1)
     join_buckets: int = 32  # partitions for bucketed hash joins
-    # raw candidate-pair streams larger than this leave the driver
-    # verification path for the distributed dedup + broadcast-verify path.
-    # The driver path's collect + pair-dedup lexsort is SERIAL driver
-    # work — an Amdahl term that inverts scaling as CPUs grow (measured
-    # at 500k docs: verify 12.2s@2cpus → 11.8s@8cpus on the driver path
-    # vs 10.6s → 4.4s on the distributed path, identical edges). Keep the
-    # driver path only where Ray's fixed multi-stage latency (~2-4s)
-    # would dominate: small candidate streams. Read by the classic verify
-    # tiers and simhash only; the default components path sizes its
-    # memory tier by signature rows (exchange._DRIVER_READ_MAX) instead.
+    # SimHash exchange tier: candidate pairs up to this many are checked
+    # on the driver (one collect + searchsorted Hamming), larger sets by
+    # a bucketed join. The driver check is SERIAL driver work — an Amdahl
+    # term that inverts scaling as CPUs grow — so it is kept only where
+    # Ray's fixed multi-stage latency would dominate. MinHash
+    # verification never reads it: the component verifier sizes its
+    # memory tier by signature rows (exchange._DRIVER_READ_MAX).
     driver_verify_max: int = 500_000
-    # distributed backend: verify against a plasma-broadcast candidate
-    # signature matrix while the candidate-involved doc count fits this
-    # bound (~1 KB/sig at 128 perms → default ≈ 2 GB, well inside one
-    # node's object store); past it, the bucketed-exchange join path
-    # takes over (each pair ships its two 1 KB signatures through a
-    # sort — measured at 2M docs/52 GB spill: 2086 s vs seconds on the
-    # broadcast tier). Same edges either way (pytest-pinned).
-    sig_broadcast_max: int = 2_000_000
     # connected components: "driver" = vectorized components on the
-    # driver (right up to ~10^8 edges); "actors" = sharded union-find
-    # actor fleet (O(E) union work distributed, driver merges only the
-    # per-shard component maps); "distributed" = Ray Data min-label
-    # propagation (pure-Dataset path)
+    # driver (right up to ~10^8 edges); "distributed" = Ray Data
+    # min-label propagation (pure-Dataset path, edges never transit the
+    # driver)
     cluster_backend: str = "driver"
     # dup-bounded broadcast guard: lookup/filter maps larger than this many
     # rows abandon the ray.put broadcast path for a bucketed hash join
@@ -124,12 +104,10 @@ class DedupConfig:
             raise ValueError("max_size < min_size")
         if self.shingle_k < 1:
             raise ValueError("shingle_k must be >= 1")
-        if self.cluster_backend not in ("driver", "actors", "distributed"):
+        if self.cluster_backend not in ("driver", "distributed"):
             raise ValueError(f"unknown cluster_backend {self.cluster_backend!r}")
         if self.token_hash not in ("polars-xxh64", "xxh64"):
             raise ValueError(f"unknown token_hash {self.token_hash!r}")
-        if self.candidate_path not in ("components", "classic"):
-            raise ValueError(f"unknown candidate_path {self.candidate_path!r}")
         if self.sig_bytes not in (4, 8):
             raise ValueError(f"sig_bytes must be 4 or 8, got {self.sig_bytes}")
 
@@ -223,10 +201,6 @@ _POST_V1_FIELDS = {
     "sign_partitions",
     "broadcast_max_rows",
     "allpairs_bucket_max",
-    "sig_broadcast_max",  # also an exec knob; listed here so the ≤v3
-    # fingerprint rules (fingerprint_v3) skip it at default too
-    "candidate_path",  # semantic default change covered by schema v5's
-    # p4_edges invalidation, not the fingerprint
     "sig_bytes",  # layout default change covered by schema v6's
     # p3_signatures/p4_edges invalidation (and the incremental index's
     # explicit sig_bytes manifest stamp), not the fingerprint
@@ -235,7 +209,7 @@ _POST_V1_FIELDS = {
 # Execution-only knobs (path selection, not results): excluded from the
 # fingerprint since schema v4. Their value at the ≤v3 default is kept so
 # fingerprint_v3 can recognize pre-bump manifests.
-_EXEC_KNOBS = {"driver_verify_max", "sig_broadcast_max"}
+_EXEC_KNOBS = {"driver_verify_max"}
 _EXEC_KNOB_V3_DEFAULTS = {"driver_verify_max": 20_000_000}
 
 DEFAULT = DedupConfig()

@@ -41,6 +41,23 @@ tests are size-guarded via ``semi_filter_auto``: broadcast while the
 batch's key set fits ``cfg.broadcast_max_rows``, bucketed hash join
 past it. Candidate pairs, verified edges and the drop report are
 bounded by duplicate-INVOLVED docs, not by the corpus or the batch.
+
+Verification is the flagship's: the batch signatures ∪ the signatures of
+the index docs that share a band key with the batch (one pin) go through
+``candidates.memory_verified_edges`` (one driver group while the pin
+fits ``exchange._DRIVER_READ_MAX``), else ``component_verified_edges``
+(star pass → components → per-group regen + verify), exact-mode
+set-hash equality included. Only edges with an endpoint among the batch
+hashes are kept. A bucket that holds a batch doc has exactly the members
+a per-band probe would give it — every index doc with that band key is
+in the pin — so those edges are the probe's, up to the sorted-block
+fragment cases the ``candidates`` docstring lists. The group also
+re-derives the index docs' other band keys: the old–old pairs that
+yields drop with the touches-batch filter, except when one endpoint is
+a batch page that exactly copies a corpus doc (its hash is a batch
+hash). Such an edge joins two corpus docs, so it changes no page's
+classification; at most it names a different (verified) corpus member
+as a ``near_corpus`` row's ``matched``.
 """
 
 from __future__ import annotations
@@ -54,6 +71,12 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data import Dataset
 
+from .candidates import (
+    EDGES_SCHEMA,
+    _sig_cols,
+    component_verified_edges,
+    memory_verified_edges,
+)
 from .config import DedupConfig
 from .exchange import (
     collect_table,
@@ -64,11 +87,10 @@ from .exchange import (
 )
 from .hashing import xxh64_arrow
 from .ingest import ingest
-from .lsh import band_rows, candidate_pairs
+from .lsh import band_rows
 from .minhash import sign
-from .pipeline import _filter_edges_by_set_hash, distinct_reps
+from .pipeline import distinct_reps
 from .unionfind import components_np
-from .verify import verify_auto
 
 INDEX_SCHEMA_VERSION = 1
 
@@ -283,57 +305,39 @@ def incremental_dedup(
             .to_numpy(zero_copy_only=False)
         )
 
-    # ---- 2. near-dup candidates: batch bands ∪ (index bands that share a
-    # band key with the batch). The exact drop removed old∩new hashes from
-    # the NEW side, but the index's band rows still carry them — endpoint
-    # classification below treats any hash in ``exact_old`` as corpus.
+    # ---- 2. near-dup candidates: batch signatures ∪ the signatures of
+    # the index docs that share a band key with the batch. The exact drop
+    # removed old∩new hashes from the NEW side, but the index's band rows
+    # still carry them — endpoint classification below treats any hash in
+    # ``exact_old`` as corpus.
     active_sigs = semi_filter(new_sigs, "doc_hash", exact_old, keep=False)
-    bands_new = band_rows(active_sigs, cfg).materialize()
+    # typed collect: when every batch doc is a corpus copy, no band row
+    # exists and Ray Data hands back column-less blocks
     nb_keys = np.unique(
-        collect_table(bands_new.select_columns(["bkey"]))
+        collect_table(
+            band_rows(active_sigs, cfg),
+            schema=pa.schema([("doc_hash", pa.int64()), ("bkey", pa.int64())]),
+        )
         .column("bkey")
         .to_numpy(zero_copy_only=False)
     )
-    sig_cols = ["doc_hash", "sig", "n_shingles"] + (
-        ["set_hash"] if cfg.exact_set_verify else []
-    )
+    sig_cols = _sig_cols(cfg)
     if os.path.isdir(bands_dir):
         bands_idx = rd.read_parquet(bands_dir, columns=["doc_hash", "bkey"])
     else:  # index built before band persistence: band the sig table once
         bands_idx = band_rows(
             rd.read_parquet(sigs_dir, columns=["doc_hash", "sig", "n_shingles"]), cfg
         )
-    # materialize: consumed twice (candidate generation below + the
-    # old_cand collect) — without this the corpus-sized index bands scan
-    # and its size-guarded membership filter would re-execute per
-    # consumer. The hit set itself is bounded by band-key collisions
-    # with the batch, not by the corpus.
-    bands_old_hit = semi_filter_auto(
-        bands_idx.select_columns(["doc_hash", "bkey"]), "bkey", nb_keys,
-        max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
-    ).materialize()
-    pairs, chain = candidate_pairs(bands_new.union(bands_old_hit), cfg)
-    if len(chain):
-        pairs = pairs.union(rd.from_arrow(chain))
-    # drop old–old pairs before verification: the corpus is already
-    # deduplicated; only pairs touching the batch matter
-    nh_sorted = new_hashes
-
-    def _touches_new(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        return batch.filter(
-            pa.array(
-                member_probe(nh_sorted, None, a) | member_probe(nh_sorted, None, b)
-            )
-        )
-
-    pairs = pairs.map_batches(_touches_new, batch_format="pyarrow")
-
-    # signatures for verification: new + the old docs that hit a shared
-    # band bucket (bounded by candidate-involved docs, not the corpus)
+    # the hit set is bounded by band-key collisions with the batch, not
+    # by the corpus
     old_cand = np.unique(
-        collect_table(bands_old_hit.select_columns(["doc_hash"]))
+        collect_table(
+            semi_filter_auto(
+                bands_idx.select_columns(["doc_hash", "bkey"]), "bkey", nb_keys,
+                max_broadcast_rows=cfg.broadcast_max_rows,
+                n_buckets=cfg.join_buckets,
+            ).select_columns(["doc_hash"])
+        )
         .column("doc_hash")
         .to_numpy(zero_copy_only=False)
     )
@@ -356,13 +360,23 @@ def incremental_dedup(
             max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
         )
     sigs_union = active_sigs.select_columns(sig_cols).union(old_sig_rows).materialize()
-    edges = verify_auto(pairs, sigs_union, cfg)
-    if cfg.exact_set_verify and len(edges):
-        edges = _filter_edges_by_set_hash(edges, sigs_union, cfg)
-
-    # ---- 3. classify batch pages (driver work bounded by dup-involved)
+    # the flagship's verifier: pairs are generated and checked inside
+    # component groups (one driver group while the pin fits the memory
+    # tier), exact-mode set-hash equality included
+    edges = memory_verified_edges(sigs_union, cfg)
+    if edges is None:
+        edges = collect_table(
+            component_verified_edges(sigs_union, cfg), schema=EDGES_SCHEMA
+        )
+    # old–old edges carry nothing: the corpus is already deduplicated;
+    # only edges touching the batch matter
+    nh_sorted = new_hashes
     ea = edges.column("a").to_numpy(zero_copy_only=False)
     eb = edges.column("b").to_numpy(zero_copy_only=False)
+    touches_new = member_probe(nh_sorted, None, ea) | member_probe(nh_sorted, None, eb)
+    ea, eb = ea[touches_new], eb[touches_new]
+
+    # ---- 3. classify batch pages (driver work bounded by dup-involved)
     nodes, labels = components_np(ea, eb)
 
     # the shared sorted-membership kernel (exchange.member_probe without

@@ -2,8 +2,8 @@
 
     pages ─ingest→ P1(url,text,identity cols)
           ─distinct-content reps→ sign (MinHash actor pool) → P3 signatures
-          ─band→ P4 band rows ─groupby→ candidate pairs (skew-salted stars)
-          ─verify (signature agreement)→ edges
+          ─candidates (band keys → components → per-group pairs checked
+             by signature agreement, dedup/candidates.py)→ P4 edges
           ─union-find→ cluster map (doc_hash → cluster_id)
           ─broadcast assign + count→ clusters table
 
@@ -29,10 +29,8 @@ from ray.data import Dataset
 from .config import DedupConfig
 from .exchange import dup_key_counts, dup_keys, semi_filter
 from .ingest import ingest
-from .lsh import band_rows, candidate_pairs
 from .minhash import sign
 from .schema import CLUSTERS
-from .verify import verify_auto
 
 
 def _local_first_idx(dh: np.ndarray) -> np.ndarray:
@@ -252,47 +250,11 @@ def _sign_distinct_fused(
     return uniq_sigs.union(_sign(rep_texts, cfg)).materialize()
 
 
-def _filter_edges_by_set_hash(
-    edges: pa.Table, sigs: Dataset, cfg: DedupConfig | None = None
-) -> pa.Table:
-    """Keep only verified pairs whose shingle-SET hashes agree (exact
-    mode). The set-hash map is fetched for candidate-involved docs only
-    (semi-filter + collect — bounded by duplicate-involved docs). Guarded:
-    past ``cfg.broadcast_max_rows`` candidate docs the driver map would be
-    the scale hazard, so the join-based Dataset twin runs instead and
-    only the (already edge-bounded) result collects."""
-    from .exchange import collect_table
-
-    a = edges.column("a").to_numpy(zero_copy_only=False)
-    b = edges.column("b").to_numpy(zero_copy_only=False)
-    cand = np.sort(np.unique(np.concatenate([a, b])))
-    cap = cfg.broadcast_max_rows if cfg is not None else 5_000_000
-    if len(cand) > cap:
-        from .verify import filter_edges_by_set_hash_ds
-
-        return collect_table(
-            filter_edges_by_set_hash_ds(
-                rd.from_arrow(edges), sigs, cfg or DedupConfig()
-            )
-        )
-    sub = collect_table(
-        semi_filter(sigs.select_columns(["doc_hash", "set_hash"]), "doc_hash", cand)
-    )
-    ids = sub.column("doc_hash").to_numpy(zero_copy_only=False)
-    vals = sub.column("set_hash").to_numpy(zero_copy_only=False)
-    o = np.argsort(ids)
-    ids, vals = ids[o], vals[o]
-    ia = np.minimum(np.searchsorted(ids, a), len(ids) - 1)
-    ib = np.minimum(np.searchsorted(ids, b), len(ids) - 1)
-    keep = (ids[ia] == a) & (ids[ib] == b) & (vals[ia] == vals[ib])
-    return edges.filter(pa.array(keep))
-
-
 @dataclass
 class NearDupResult:
     clusters: Dataset  # CLUSTERS schema (+ redundant not included here)
-    # verified pairs (a, b, sim): an Arrow table on the driver/actors
-    # backends, a Dataset on the fully-distributed backend (edges never
+    # verified pairs (a, b, sim): an Arrow table on the driver backend,
+    # a Dataset on the fully-distributed backend (edges never
     # transit the driver there)
     edges: "pa.Table | Dataset"
     # the pinned P1 ingest Dataset — downstream consumers (near_dup_corpus)
@@ -402,18 +364,9 @@ def near_dup_pipeline(
         # lineage: a rebuilt upstream invalidates derived stages
         checkpoint.invalidate("p4_edges")
 
-    def gen_pairs() -> Dataset:
-        bands = band_rows(sigs, cfg)
-        pairs, chain = candidate_pairs(bands, cfg)
-        if len(chain):
-            pairs = pairs.union(rd.from_arrow(chain))
-        return pairs
-
-    use_components = cfg.candidate_path == "components"
-
     if cfg.cluster_backend == "distributed":
         return _near_dup_distributed(
-            ing, sigs, cfg, checkpoint, gen_pairs, tick,
+            ing, sigs, cfg, checkpoint, tick,
             dup_hashes=dup_hashes, dup_cnts=dup_cnts,
         )
 
@@ -427,57 +380,40 @@ def near_dup_pipeline(
         edges = pa.concat_tables(batches) if batches else _EDGES_EMPTY
         tick("p4_edges (checkpoint hit)")
     else:
-        if use_components:
-            # component-localized generation + in-group verification:
-            # small pinned signatures verify as one group on the driver
-            # (memory tier, no execution); otherwise star pass →
-            # components → exact per-component regen + signature
-            # agreement (and exact-mode set-hash equality) checked where
-            # the pairs are born — no pair shuffle, no broadcast
-            # signature matrix (see dedup/candidates.py). The verified
-            # edge set is dup-bounded; collecting it here is the same
-            # driver visit the classic path's verify tiers make.
-            from .candidates import (
-                EDGES_SCHEMA,
-                component_verified_edges,
-                memory_verified_edges,
-            )
-            from .exchange import collect_table
+        # component-localized generation + in-group verification: small
+        # pinned signatures verify as one group on the driver (memory
+        # tier, no execution); otherwise star pass → components → exact
+        # per-component regen + signature agreement (and exact-mode
+        # set-hash equality) checked where the pairs are born — no pair
+        # shuffle, no broadcast signature matrix (see
+        # dedup/candidates.py). The verified edge set is dup-bounded, so
+        # it is collected for the driver components below.
+        from .candidates import (
+            EDGES_SCHEMA,
+            component_verified_edges,
+            memory_verified_edges,
+        )
+        from .exchange import collect_table
 
-            edges = memory_verified_edges(sigs, cfg)
-            if edges is not None:
-                tick("candidates (memory tier: one group)")
-            else:
-                edges = collect_table(
-                    component_verified_edges(sigs, cfg), schema=EDGES_SCHEMA
-                )
-                tick("candidates (exchange tier: stars+components+groups)")
+        edges = memory_verified_edges(sigs, cfg)
+        if edges is not None:
+            tick("candidates (memory tier: one group)")
         else:
-            pairs = gen_pairs()
-            tick("bands+sort+pairs")
-            edges = verify_auto(pairs, sigs, cfg)
-            if cfg.exact_set_verify and len(edges):
-                edges = _filter_edges_by_set_hash(edges, sigs, cfg)
+            edges = collect_table(
+                component_verified_edges(sigs, cfg), schema=EDGES_SCHEMA
+            )
+            tick("candidates (exchange tier: stars+components+groups)")
         if checkpoint is not None and len(edges):
             checkpoint.load_or_run("p4_edges", lambda: rd.from_arrow(edges))
         tick("verify")
 
-    if cfg.cluster_backend == "actors":
-        # sharded union-find actor fleet (north-star "distributed
-        # union-find actor"); O(E) union work runs in the shards
-        from .unionfind import components_sharded
+    # driver components over verified edges (vectorized; O(E log n))
+    from .unionfind import components_np
 
-        keys, cids = components_sharded(
-            rd.from_arrow(edges.select(["a", "b"])), n_shards=4
-        )
-    else:
-        # driver components over verified edges (vectorized; O(E log n))
-        from .unionfind import components_np
-
-        keys, cids = components_np(
-            edges.column("a").to_numpy(zero_copy_only=False),
-            edges.column("b").to_numpy(zero_copy_only=False),
-        )
+    keys, cids = components_np(
+        edges.column("a").to_numpy(zero_copy_only=False),
+        edges.column("b").to_numpy(zero_copy_only=False),
+    )
 
     clusters = assign_clusters(ing, keys, cids, dup_hashes, dup_cnts, cfg)
     tick("components+finish")
@@ -573,7 +509,7 @@ def assign_clusters(
 
 
 def _near_dup_distributed(
-    ing: Dataset, sigs: Dataset, cfg: DedupConfig, checkpoint, gen_pairs, tick,
+    ing: Dataset, sigs: Dataset, cfg: DedupConfig, checkpoint, tick,
     dup_hashes: np.ndarray | None = None, dup_cnts: np.ndarray | None = None,
 ) -> NearDupResult:
     """Fully-Dataset flagship path (``cluster_backend="distributed"``):
@@ -583,65 +519,25 @@ def _near_dup_distributed(
     ≅ the reference's bounded-channel stage-to-stage handoff
     (src/main.rs:143-166), restated at cluster scale.
 
-    Stages: dedup_pairs (narrow 16-byte pair shuffle) → verify_distributed
-    (two bucketed signature joins, agreement per batch) → [exact-set-hash
-    filter, also join-based] → label_propagation (min-label to fixpoint) →
-    cluster assignment by a bucketed LEFT join of labels onto the corpus +
-    a distributed url-count per cluster (combiner groupby), singleton
-    clusters dropped by the final inner count join.
+    Stages: ``component_verified_edges`` on its Dataset tiers (star pass →
+    label_propagation → per-component regen + verify, exact-mode set-hash
+    equality included) → label_propagation over the verified edges
+    (min-label to fixpoint) → cluster assignment by a bucketed LEFT join
+    of labels onto the corpus + a distributed url-count per cluster
+    (combiner groupby), singleton clusters dropped by the final inner
+    count join.
     """
+    from .candidates import EDGES_SCHEMA, component_verified_edges
     from .exchange import bucketed_join, ensure_schema, key_counts
     from .unionfind import label_propagation
-    from .verify import (
-        broadcast_check,
-        candidate_ids,
-        dedup_pairs as _dedup_pairs,
-        filter_edges_by_set_hash_ds,
-        verify_distributed,
-    )
-
-    _PAIRS_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    _EDGES_SCHEMA = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("sim", pa.float64())]
-    )
 
     def build_edges() -> Dataset:
-        if cfg.candidate_path == "components":
-            # Dataset-tier component generation + in-group verification
-            # (label_propagation + bucketed joins): pairs are generated,
-            # deduplicated and verified inside the component groups —
-            # exact-mode set-hash equality included — and nothing
-            # transits the driver (see dedup/candidates.py)
-            from .candidates import component_verified_edges
-
-            return ensure_schema(
-                component_verified_edges(sigs, cfg, dataset_labels=True),
-                _EDGES_SCHEMA,
-            )
-        deduped = ensure_schema(
-            _dedup_pairs(gen_pairs(), n_buckets=cfg.join_buckets), _PAIRS_SCHEMA
-        ).materialize()
-        # verify tier: while the candidate-involved signature set fits
-        # one node (cfg.sig_broadcast_max docs ≈ 2 GB at 128 perms), the
-        # plasma-broadcast matrix wins by orders of magnitude — the join
-        # path ships two 1 KB signatures per pair through a sort
-        # (measured at 2M docs: 2086 s and 52 GB of spill vs seconds).
-        # Past the bound, the bucketed-exchange join is the only path
-        # that never holds the signature set in one place. Edges stay a
-        # Dataset either way; only the (guarded) signature matrix ever
-        # touches the driver.
-        cand = candidate_ids(deduped, limit=cfg.sig_broadcast_max)
-        if cand is not None:
-            e = ensure_schema(
-                broadcast_check(deduped, sigs, cfg, cand), _EDGES_SCHEMA
-            )
-        else:
-            e = ensure_schema(verify_distributed(deduped, sigs, cfg), _EDGES_SCHEMA)
-        if cfg.exact_set_verify:
-            e = ensure_schema(
-                filter_edges_by_set_hash_ds(e, sigs, cfg), _EDGES_SCHEMA
-            )
-        return e
+        # pairs are generated, deduplicated and verified inside the
+        # component groups, and nothing transits the driver
+        return ensure_schema(
+            component_verified_edges(sigs, cfg, dataset_labels=True),
+            EDGES_SCHEMA,
+        )
 
     if checkpoint is not None:
         edges = checkpoint.load_or_run("p4_edges", build_edges)
@@ -667,7 +563,7 @@ def _near_dup_distributed(
     # the corpus, materialized that corpus-wide table, ran a corpus-wide
     # count over it and joined the counts back — two corpus joins + one
     # corpus-wide exchange. Cluster sizes are computable from DUP-BOUNDED
-    # state alone (the actors path's driver trick, restated as Datasets):
+    # state alone (the driver assignment's trick, restated as Datasets):
     # url-count(node) = 1 unless the hash is exact-duplicated, and
     # cluster_size(label) = Σ url-counts of member nodes. So everything
     # below except the single final join is bounded by duplicate-involved

@@ -159,80 +159,6 @@ def components_from_pairs(pairs: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return uf.component_map()
 
 
-@ray.remote
-class UnionFindShard:
-    """One shard of the distributed union-find actor fleet.
-
-    Receives edge batches (routed by a hash of BOTH endpoints — see
-    ``components_sharded`` — so a star component's edges spread across
-    shards and its hub becomes a boundary node on several of them),
-    maintains a local forest, and emits a (node → local uint64-min
-    component member) map. The
-    driver then merges the per-shard maps: that merge graph has one edge
-    per (node, shard) pair — O(V·shards), independent of E, so the O(E)
-    union work stays sharded. The actor holds mutable cross-batch state,
-    the one thing a Dataset op can't express (SURVEY §7.3).
-    """
-
-    def __init__(self):
-        self._a: list[np.ndarray] = []
-        self._b: list[np.ndarray] = []
-
-    def add_edges(self, a: np.ndarray, b: np.ndarray) -> int:
-        # accumulate; the O(E) component work runs vectorized at
-        # component_map time (a per-edge Python union loop here was the
-        # shard hot path — ~10× slower past 10^5 edges)
-        self._a.append(np.asarray(a, np.int64))
-        self._b.append(np.asarray(b, np.int64))
-        return len(a)
-
-    def component_map(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._a:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return components_np(np.concatenate(self._a), np.concatenate(self._b))
-
-
-def components_sharded(
-    pairs: Dataset, n_shards: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed union-find over an actor fleet → (keys, cluster_ids).
-
-    Identical output to ``components_np`` / ``UnionFind`` (uint64-min
-    member rule), asserted in tests.
-    """
-    shards = [UnionFindShard.remote() for _ in range(n_shards)]
-    pending = []
-    for batch in pairs.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            # route by a hash of BOTH endpoints: verified edges are
-            # canonical (a = uint64-min), so hashing the min endpoint
-            # would send a star component's entire edge set to ONE shard
-            # (the jumbo-cluster case sharding exists for). Spreading by
-            # pair leaves the hub as a boundary node on several shards;
-            # the merge below resolves those for free.
-            route = (
-                fmix64(
-                    a.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                    ^ b.view(np.uint64)
-                )
-                % np.uint64(n_shards)
-            ).astype(np.int64)
-        for s in range(n_shards):
-            m = route == s
-            if m.any():
-                pending.append(shards[s].add_edges.remote(a[m], b[m]))
-    ray.get(pending)
-    maps = ray.get([s.component_map.remote() for s in shards])
-    # merge: treat each shard's (node → local_min) as edges of a small graph
-    mk = np.concatenate([k for k, _ in maps]) if maps else np.empty(0, np.int64)
-    mv = np.concatenate([c for _, c in maps]) if maps else np.empty(0, np.int64)
-    for s in shards:
-        ray.kill(s)
-    return components_np(mk, mv)
-
-
 # row kinds flowing through the label-propagation exchanges
 _LP_LAB = 0  # (k=node, v=encoded label)
 _LP_MSG = 1  # (k=node, v=encoded label candidate)

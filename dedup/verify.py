@@ -6,12 +6,13 @@ pairs below ``cfg.verify_threshold`` are dropped. This keeps the banding
 config (b=32, r=4 — tuned for recall ≥0.99 at J ≥ 0.7) from admitting
 low-similarity bucket collisions into components.
 
-Driver path (default here): the candidate-involved doc set is a small
-fraction of the corpus (bounded by duplicate docs); their signatures are
-semi-filtered (broadcast id set) and streamed to the driver where all
-pairs verify in one vectorized pass. Scale path: ``verify_distributed``
-re-attaches signatures by two bucketed hash joins and verifies inside
-``map_batches`` — no driver materialization.
+The agreement kernel (``_compare_slice`` over a ``_prep_sigs`` index)
+is shared by every MinHash verifier: ``candidates._verify_group`` runs it
+inside each component group (the flagship and incremental dedup), and
+``verify_pairs`` runs it on the driver over a pair Dataset (``suffix.py``
+and the tests' reference). The pair-dedup helpers (``dedup_pairs``,
+``dedup_pairs_sorted``) serve the star pass and the SimHash exchange
+tier.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import ray
 from ray.data import Dataset
 
 from .config import DedupConfig
-from .exchange import bucketed_join, collect_table, semi_filter
-from .hashing import U64
+from .exchange import collect_table, semi_filter
 
 
 _PARALLEL_VERIFY_MIN = 200_000  # pairs; below this one core wins
@@ -218,396 +218,15 @@ def dedup_pairs_sorted(pairs: Dataset) -> Dataset:
     15M raw pairs (3.6 s vs 6.6 s at 4 CPUs), and both phases are plain
     shuffle/map stages that scale. CAVEAT: a duplicate pair can survive
     when a sorted block/batch boundary splits its run — at most one per
-    boundary. Callers must run an exact dedup on the (much smaller)
-    verified edge set; ``verify_broadcast`` does this at collect time.
-    The groupby path above stays for ``verify_distributed``, whose edge
-    Dataset never lands anywhere an exactness pass is free."""
+    boundary. Its caller, the star pass of ``candidates._tagged_sig_rows``,
+    feeds connected components, where a repeated edge changes nothing;
+    the exact pair set is regenerated per component group."""
 
     # the per-batch adjacent dedup after the sort is intentionally
     # _pair_table_unique (re-sorts defensively — cheap on already-sorted
-    # data); exactness across batch boundaries is the caller's edge-dedup
+    # data)
     return (
         pairs.map_batches(_canon_unique_batch, batch_format="pyarrow")
         .sort(["a", "b"])
         .map_batches(_pair_table_unique, batch_format="pyarrow")
     )
-
-
-def _edge_table_unique(t: pa.Table) -> pa.Table:
-    """Exact (a, b) dedup of a verified-edge table (driver-side; the edge
-    set is dup-bounded and already collected). Keeps the first sim per
-    pair — duplicates carry identical sims (same signatures)."""
-    if len(t) == 0:
-        return t
-    a = t.column("a").to_numpy(zero_copy_only=False)
-    b = t.column("b").to_numpy(zero_copy_only=False)
-    order = np.lexsort((b, a))
-    first = _adjacent_first_mask(a[order], b[order])
-    keep_idx = order[first]
-    keep_idx.sort()  # preserve input order for determinism
-    return t.take(pa.array(keep_idx))
-
-
-def verify_auto(pairs: Dataset, sigs: Dataset, cfg: DedupConfig) -> pa.Table:
-    """Adaptive verification.
-
-    - small raw candidate stream → single-pass driver verification
-    - otherwise → distributed narrow pair dedup, then pair checking in
-      ``map_batches`` against a **plasma-broadcast** signature matrix
-      (``verify_broadcast``): every worker on a node reads the one
-      shared zero-copy object; no signature ever enters a shuffle.
-      ``verify_broadcast`` itself degrades to the bucketed-exchange
-      ``verify_distributed`` when the candidate-involved doc count
-      exceeds ``cfg.sig_broadcast_max`` (the signature matrix would not
-      fit one node), so no tier ever collects an unbounded matrix.
-    """
-    # cfg.driver_verify_max is the documented driver/distributed switchover
-    raw_cap = cfg.driver_verify_max
-    pt = collect_table(pairs, limit_rows=raw_cap + 1)
-    if len(pt) <= raw_cap:
-        # single execution, driver path straight from the collected table
-        import ray.data as rd
-
-        return verify_pairs(rd.from_arrow(pt), sigs, cfg)
-    # large raw stream: de-duplicate in Ray (parallel; the serial driver
-    # lexsort over the raw stream is the cost being avoided), then verify
-    # against the broadcast signature matrix. Sort-based dedup (1.8×
-    # faster than the bucket groupby, scales as a plain shuffle) may
-    # leave one duplicate per block boundary; verify_broadcast's exact
-    # edge dedup at collect time removes them.
-    deduped = dedup_pairs_sorted(pairs)
-    return verify_broadcast(deduped, sigs, cfg)
-
-
-def candidate_ids(
-    pairs_deduped: Dataset, limit: int | None = None
-) -> np.ndarray | None:
-    """Sorted unique endpoint ids of a (deduped) pair Dataset — the
-    candidate-involved doc set, bounded by duplicate-involved docs.
-    With ``limit``, collection stops early and returns None once the id
-    stream exceeds it — the guard that keeps a surprise corpus-sized
-    candidate set from materializing on the driver."""
-
-    def batch_ids(batch: pa.Table) -> pa.Table:
-        u = np.unique(
-            np.concatenate(
-                [
-                    batch.column("a").to_numpy(zero_copy_only=False),
-                    batch.column("b").to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return pa.table({"id": pa.array(u, pa.int64())})
-
-    # Streaming global unique with a CORRECT early-out: the running
-    # unique set only ever grows, so the moment it exceeds ``limit`` we
-    # can stop and report over-limit — but an under-limit count is only
-    # conclusive after the WHOLE stream has been folded in (an early
-    # truncation would silently drop candidate ids and, downstream,
-    # verified edges).
-    uniq = np.empty(0, np.int64)
-    pending: list[np.ndarray] = []
-    pending_n = 0
-    for b in pairs_deduped.map_batches(batch_ids, batch_format="pyarrow").iter_batches(
-        batch_size=1 << 18, batch_format="pyarrow"
-    ):
-        pending.append(b.column("id").to_numpy(zero_copy_only=False))
-        pending_n += len(pending[-1])
-        if pending_n >= max(1 << 22, len(uniq)):
-            uniq = np.unique(np.concatenate([uniq, *pending]))
-            pending, pending_n = [], 0
-            if limit is not None and len(uniq) > limit:
-                return None
-    if pending:
-        uniq = np.unique(np.concatenate([uniq, *pending]))
-    if limit is not None and len(uniq) > limit:
-        return None
-    return uniq
-
-
-def _keep_all_ones(pairs: Dataset) -> Dataset:
-    """``verify_threshold <= 0`` semantics, identical at EVERY tier
-    (pinned by ``verify_pairs`` / ``component_verified_edges``): keep
-    every canonical pair with sim 1.0 and read no signatures. Without
-    this short-circuit the broadcast/distributed tiers reported computed
-    sims (and the distributed join dropped signature-less pairs), so the
-    same corpus + config produced different edge tables purely as a
-    function of which tier the pair count selected."""
-
-    def ones(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "a": batch.column("a"),
-                "b": batch.column("b"),
-                "sim": pa.array(np.ones(len(batch)), pa.float64()),
-            }
-        )
-
-    return pairs.map_batches(ones, batch_format="pyarrow")
-
-
-def broadcast_check(
-    pairs_deduped: Dataset, sigs: Dataset, cfg: DedupConfig, cand: np.ndarray
-) -> Dataset:
-    """The broadcast verify kernel as a streaming Dataset: candidate
-    signatures are semi-filtered, collected ONCE, ``ray.put`` once, and
-    every checking task reads the one zero-copy plasma view. The pair
-    stream (and the edge output) never touches the driver."""
-    if cfg.verify_threshold <= 0:
-        return _keep_all_ones(pairs_deduped)
-    sub = semi_filter(sigs.select_columns(["doc_hash", "sig"]), "doc_hash", cand)
-    st = collect_table(sub)
-    ref = ray.put(_prep_sigs(st, cfg.num_perm))
-    thr = cfg.verify_threshold
-    np_ = cfg.num_perm
-
-    def check(batch: pa.Table) -> pa.Table:
-        sig_index = ray.get(ref)  # zero-copy plasma view
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        sim = _compare_slice(sig_index, a, b, np_)
-        keep = sim >= thr
-        return pa.table(
-            {
-                "a": pa.array(a[keep], pa.int64()),
-                "b": pa.array(b[keep], pa.int64()),
-                "sim": pa.array(sim[keep], pa.float64()),
-            }
-        )
-
-    return pairs_deduped.map_batches(check, batch_format="pyarrow", batch_size=1 << 17)
-
-
-def verify_broadcast(pairs_deduped: Dataset, sigs: Dataset, cfg: DedupConfig) -> pa.Table:
-    """Verify canonical unique pairs against a broadcast signature matrix.
-
-    The candidate-involved signature set (bounded by duplicate-involved
-    docs, not the corpus) is collected once, ``ray.put`` once, and read
-    zero-copy by every checking task. Comparison is the same chunked
-    scratch-buffer kernel as the driver path, parallelized over pair
-    batches.
-    """
-    pairs_deduped = pairs_deduped.materialize()
-    # size-guard the broadcast: past cfg.sig_broadcast_max candidate-
-    # involved docs the collected signature matrix would not fit one
-    # node (~1 KB/doc at 128 perms) — degrade to the bucketed-exchange
-    # verifier, where only the (edge-bounded) RESULT collects
-    cand = candidate_ids(pairs_deduped, limit=cfg.sig_broadcast_max)
-    if cand is None:
-        t = collect_table(verify_distributed(pairs_deduped, sigs, cfg))
-    else:
-        t = collect_table(broadcast_check(pairs_deduped, sigs, cfg, cand))
-    if len(t) == 0:
-        return pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-             "sim": pa.array([], pa.float64())}
-        )
-    # exact uniqueness even when the upstream dedup was the sorted
-    # (boundary-tolerant) variant — the edge set is dup-bounded and
-    # already on the driver, so this pass is O(edges) and cheap
-    return _edge_table_unique(t.select(["a", "b", "sim"]))
-
-
-def sig_matrix(col, n: int, num_perm: int, item_bytes: int = 4) -> np.ndarray:
-    """(n, num_perm) unsigned-int view of a packed-signature blob column
-    (dtype uint32 or uint64 per ``item_bytes`` = cfg.sig_bytes).
-
-    Zero-copy for fixed_size_binary and for plain binary/large_binary
-    whose offsets form one constant-stride run (the pandas round-trip
-    inside ``bucketed_join`` demotes fixed_size_binary to plain binary
-    but keeps every blob exactly ``item_bytes * num_perm`` bytes). Falls
-    back to a per-row join only for irregular layouts (nulls, mixed
-    widths).
-    """
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    width = item_bytes * num_perm
-    dt = np.uint32 if item_bytes == 4 else U64
-    if isinstance(col, pa.FixedSizeBinaryArray) and col.null_count == 0:
-        if col.type.byte_width != width:
-            # a stored signature width that disagrees with the config is
-            # a config/index mismatch — fail loudly instead of silently
-            # slicing the buffer into garbage similarities
-            raise ValueError(
-                f"signature width mismatch: column byte_width="
-                f"{col.type.byte_width}, expected sig_bytes*num_perm={width}"
-            )
-        buf = np.frombuffer(col.buffers()[1], dtype=np.uint8)
-        buf = buf[col.offset * width : (col.offset + n) * width]
-        return buf.view(dt).reshape(n, num_perm)
-    if (
-        isinstance(col, (pa.BinaryArray, pa.LargeBinaryArray))
-        and col.null_count == 0
-    ):
-        odt = np.int64 if isinstance(col, pa.LargeBinaryArray) else np.int32
-        offs = np.frombuffer(col.buffers()[1], dtype=odt)[
-            col.offset : col.offset + n + 1
-        ]
-        if (np.diff(offs) == width).all():
-            buf = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-            buf = buf[offs[0] : offs[-1]]
-            return buf.view(dt).reshape(n, num_perm)
-    buf = np.frombuffer(b"".join(col.to_pylist()), dtype=dt)
-    return buf.reshape(n, num_perm)
-
-
-def verify_distributed(pairs: Dataset, sigs: Dataset, cfg: DedupConfig) -> Dataset:
-    """Scale path: signatures re-attached by two dedicated bucketed
-    exchanges, agreement computed per bucket. Returns Dataset(a, b, sim).
-
-    The signature table is packed to ``fixed_size_binary`` ONCE and
-    materialized; both exchanges reuse those blocks (the round-3 design
-    packed and shipped the table separately per join, through the
-    generic pandas-merge ``bucketed_join``). Each exchange is a plain
-    union + groupby(bucket) + vectorized searchsorted attach — sigs have
-    one row per doc_hash, so the sorted-key gather IS the inner join."""
-    if cfg.verify_threshold <= 0:
-        return _keep_all_ones(pairs)
-    width = cfg.sig_bytes * cfg.num_perm
-
-    def pack(batch: pa.Table) -> pa.Table:
-        col = batch.column("sig")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False)
-        if flat.dtype.itemsize != cfg.sig_bytes:
-            # a stored slot width that disagrees with the config would
-            # silently interleave rows in the fixed-width blob below
-            # (from_buffers doesn't validate) — fail loudly, same
-            # contract as sig_matrix above
-            raise ValueError(
-                f"signature width mismatch: stored slot itemsize="
-                f"{flat.dtype.itemsize}, expected sig_bytes={cfg.sig_bytes}"
-            )
-        blob = flat.reshape(len(batch), cfg.num_perm).view(np.uint8).reshape(len(batch), -1)
-        arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(width), len(batch),
-            [None, pa.py_buffer(np.ascontiguousarray(blob).tobytes())],
-        )
-        return pa.table({"__k": batch.column("doc_hash"), "__sig": arr})
-
-    sigb = sigs.map_batches(pack, batch_format="pyarrow").materialize()
-
-    def _attach(pair_ds: Dataset, key_col: str, out_col: str) -> Dataset:
-        """One exchange: pairs keyed by ``key_col`` meet sig rows keyed by
-        doc_hash in the same hash bucket; the group step gathers each
-        pair's signature. Inner semantics (pairs without a signature
-        drop, matching the old join)."""
-        from .hashing import fmix64
-
-        pair_schema = pair_ds.schema().base_schema
-        pcols = list(pair_schema.names)
-
-        def tag_pairs(batch: pa.Table) -> pa.Table:
-            k = batch.column(key_col).to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                b = (fmix64(k.view(np.uint64)) % np.uint64(cfg.join_buckets)).astype(np.int32)
-            cols = {c: batch.column(c) for c in pcols}
-            cols["__sig"] = pa.nulls(len(batch), pa.binary(width))
-            cols["__k"] = pa.nulls(len(batch), pa.int64())
-            cols["__bucket"] = pa.array(b, pa.int32())
-            return pa.table(cols)
-
-        def tag_sigs(batch: pa.Table) -> pa.Table:
-            k = batch.column("__k").to_numpy(zero_copy_only=False)
-            with np.errstate(over="ignore"):
-                b = (fmix64(k.view(np.uint64)) % np.uint64(cfg.join_buckets)).astype(np.int32)
-            cols = {c: pa.nulls(len(batch), pair_schema.field(c).type) for c in pcols}
-            cols["__sig"] = batch.column("__sig")
-            cols["__k"] = batch.column("__k")
-            cols["__bucket"] = pa.array(b, pa.int32())
-            return pa.table(cols)
-
-        both = pair_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
-            sigb.map_batches(tag_sigs, batch_format="pyarrow")
-        )
-
-        def attach(group: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            is_sig = pc.is_valid(group.column("__k"))
-            sig_rows = group.filter(is_sig)
-            prs = group.filter(pc.invert(is_sig))
-            out_schema = pa.schema(
-                [pair_schema.field(c) for c in pcols] + [(out_col, pa.binary(width))]
-            )
-            if len(prs) == 0 or len(sig_rows) == 0:
-                return out_schema.empty_table()
-            sk = sig_rows.column("__k").to_numpy(zero_copy_only=False)
-            o = np.argsort(sk)
-            sk_s = sk[o]
-            pk = prs.column(key_col).to_numpy(zero_copy_only=False)
-            i = np.minimum(np.searchsorted(sk_s, pk), len(sk_s) - 1)
-            hit = sk_s[i] == pk
-            gather = pa.array(o[i[hit]], pa.int64())
-            sig_col = sig_rows.column("__sig")
-            if isinstance(sig_col, pa.ChunkedArray):
-                sig_col = sig_col.combine_chunks()
-            cols = {
-                c: prs.column(c).filter(pa.array(hit)) for c in pcols
-            }
-            cols[out_col] = sig_col.take(gather)
-            return pa.table(cols, schema=out_schema)
-
-        return both.groupby("__bucket").map_groups(attach, batch_format="pyarrow")
-
-    j1 = _attach(pairs, "a", "__sa")
-    # Stage barrier between the two exchanges: fused in one streaming
-    # plan, exchange 2's sort (an all-to-all barrier) pins every
-    # (pair + 1 KB sig_a) block exchange 1 emits while exchange 1's own
-    # inputs and sort buffers are still resident; at millions of pairs
-    # the object store congests and the executor collapses to one
-    # in-flight task. Materializing j1 releases exchange 1's subtree.
-    j1 = j1.materialize()
-    j2 = _attach(j1, "b", "__sb")
-
-    def agree(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-
-        ma = sig_matrix(batch.column("__sa"), n, cfg.num_perm, cfg.sig_bytes)
-        mb = sig_matrix(batch.column("__sb"), n, cfg.num_perm, cfg.sig_bytes)
-        sim = (ma == mb).mean(axis=1)
-        keep = sim >= cfg.verify_threshold
-        return pa.table(
-            {
-                "a": batch.column("a").filter(pa.array(keep)),
-                "b": batch.column("b").filter(pa.array(keep)),
-                "sim": pa.array(sim[keep], pa.float64()),
-            }
-        )
-
-    return j2.map_batches(agree, batch_format="pyarrow")
-
-
-def filter_edges_by_set_hash_ds(
-    edges: Dataset, sigs: Dataset, cfg: DedupConfig
-) -> Dataset:
-    """Dataset-native exact-mode filter: keep verified pairs whose 64-bit
-    shingle-SET hashes agree. Set hashes re-attach via two bucketed hash
-    joins on narrow (doc_hash, set_hash) rows — the scale twin of
-    ``pipeline._filter_edges_by_set_hash`` (which collects the candidate
-    set-hash map to the driver)."""
-
-    def half(key_out: str, hash_out: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {key_out: batch.column("doc_hash"), hash_out: batch.column("set_hash")}
-            )
-
-        return fn
-
-    narrow = sigs.select_columns(["doc_hash", "set_hash"])
-    sa = narrow.map_batches(half("__ka", "__ha"), batch_format="pyarrow")
-    sb = narrow.map_batches(half("__kb", "__hb"), batch_format="pyarrow")
-    j1 = bucketed_join(edges, sa, "a", "__ka", n_buckets=cfg.join_buckets)
-    j2 = bucketed_join(j1, sb, "b", "__kb", n_buckets=cfg.join_buckets)
-
-    def keep_equal(batch: pa.Table) -> pa.Table:
-        ha = batch.column("__ha").to_numpy(zero_copy_only=False)
-        hb = batch.column("__hb").to_numpy(zero_copy_only=False)
-        return batch.select(["a", "b", "sim"]).filter(pa.array(ha == hb))
-
-    return j2.map_batches(keep_equal, batch_format="pyarrow")

@@ -1,6 +1,6 @@
 """Component-localized candidate generation (dedup/candidates.py) must
-produce the classic path's pair set — exactly unique, canonical — on
-corpora without fragment/jumbo corner cases, and identical results
+produce the per-band emission's pair set — exactly unique, canonical —
+on corpora without fragment/jumbo corner cases, and identical results
 across its driver-components and Dataset-labels tiers."""
 
 import numpy as np
@@ -13,7 +13,7 @@ from dedup.exchange import collect_table
 from dedup.ingest import ingest
 from dedup.lsh import band_rows, candidate_pairs, segment_pairs
 from dedup.minhash import sign
-from dedup.pipeline import cluster_partition, distinct_reps, near_dup_pipeline
+from dedup.pipeline import distinct_reps
 from dedup.synth import make_pages
 from dedup.verify import dedup_pairs
 
@@ -74,15 +74,6 @@ def test_component_tiers_identical():
     assert _pair_set(collect_table(t3)) == _pair_set(collect_table(t1))
 
 
-def test_pipeline_classic_vs_components_identical():
-    table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)
-    ds = rd.from_arrow(table)
-    r1 = near_dup_pipeline(ds, DedupConfig(min_size=1, candidate_path="classic"))
-    r2 = near_dup_pipeline(ds, DedupConfig(min_size=1, candidate_path="components"))
-    assert _pair_set(r1.edges) == _pair_set(r2.edges)
-    assert cluster_partition(r1.clusters) == cluster_partition(r2.clusters)
-
-
 def test_segment_pairs_allpairs_and_star():
     # two buckets: size 3 (<= cap → all pairs), size 4 with cap 3 (→ star)
     bk = np.array([1, 1, 1, 2, 2, 2, 2], np.int64)
@@ -122,10 +113,11 @@ def _edges_by_tier(sigs, cfg) -> dict:
 
 
 def test_component_verified_edges_match_classic_verify():
-    """In-group verification must produce the classic broadcast path's
-    exact edge set WITH bit-identical sims, on every tier, in both
-    threshold and exact-set modes."""
-    from dedup.verify import verify_broadcast
+    """In-group verification must produce the edge set of driver
+    verification over per-band candidate pairs (``verify_pairs``) WITH
+    bit-identical sims, on every tier, in both threshold and exact-set
+    modes (the reference applies the set-hash equality here)."""
+    from dedup.verify import verify_pairs
 
     for kw in ({}, {"exact_set_verify": True, "verify_threshold": 1.0}):
         cfg = DedupConfig(min_size=1, **kw)
@@ -133,11 +125,14 @@ def test_component_verified_edges_match_classic_verify():
         pairs_c, chain = candidate_pairs(band_rows(sigs, cfg), cfg)
         if len(chain):
             pairs_c = pairs_c.union(rd.from_arrow(chain))
-        classic = verify_broadcast(dedup_pairs(pairs_c), sigs, cfg)
+        classic = verify_pairs(pairs_c, sigs, cfg)
         if cfg.exact_set_verify:
-            from dedup.pipeline import _filter_edges_by_set_hash
-
-            classic = _filter_edges_by_set_hash(classic, sigs, cfg)
+            st = collect_table(sigs.select_columns(["doc_hash", "set_hash"]))
+            set_hash = dict(zip(st["doc_hash"].to_pylist(), st["set_hash"].to_pylist()))
+            classic = classic.filter(pa.array([
+                set_hash[a] == set_hash[b]
+                for a, b in zip(classic["a"].to_pylist(), classic["b"].to_pylist())
+            ]))
         want = {
             (a, b): s
             for a, b, s in zip(classic["a"].to_pylist(), classic["b"].to_pylist(),

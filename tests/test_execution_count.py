@@ -71,3 +71,24 @@ def test_pinned_dup_counts_run_nothing(executions):
     keys, cnts = dup_key_counts(ds, "k")
     assert executions[0] == before
     assert keys.tolist() == list(range(7)) and int(cnts.sum()) == 1000
+
+
+def test_incremental_executions(executions, tmp_path):
+    """``incremental_dedup`` + ``update_index`` + the caller's collect of
+    the kept pages, against an index of the other half of the corpus:
+    candidates are generated and verified on the driver (memory tier of
+    the component verifier), so no band sort or verify collect runs."""
+    from dedup.incremental import build_index, incremental_dedup, update_index
+
+    table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=30)
+    cfg = DedupConfig(min_size=1)
+    idx = str(tmp_path / "index")
+    build_index(rd.from_arrow(table.take(list(range(0, len(table), 2)))), cfg, idx)
+    before = executions[0]
+    res = incremental_dedup(
+        rd.from_arrow(table.take(list(range(1, len(table), 2)))), idx, cfg
+    )
+    kept = collect_table(res.kept)
+    update_index(idx, res.kept_sigs, cfg)
+    assert len(res.report) > 0 and len(kept) > 0
+    assert executions[0] - before <= 14, executions[0] - before

@@ -240,3 +240,59 @@ def test_empty_batch_and_no_overlap_batch(scenario):
         u for u, _ in fresh
     )
     assert res2.report.num_rows == 0
+
+
+def test_incremental_tiers_agree(scenario, tmp_path, monkeypatch):
+    """The memory tier of the component verifier and its exchange tier
+    (``_DRIVER_READ_MAX=-1``: star pass → components → groups) give the
+    same drop report, kept pages and kept signatures on a planted, an
+    empty, an all-new and an all-repeat batch, in default and exact-set
+    mode."""
+    import dedup.exchange as ex
+
+    corpus, batch, _, _ = scenario
+    rng = np.random.default_rng(91)
+    vocab = _vocab(rng)
+    texts = dict(corpus + batch)
+    # upper-cased copies keep the shingle set, so exact-set mode has a
+    # near_corpus and a near_batch drop too
+    planted = batch + [
+        ("b://upper", texts["c://nb"].upper()),
+        ("b://n1up", texts["b://n1"].upper()),
+    ]
+    batches = {
+        "planted": _pages(planted),
+        "empty": _pages([("b://none", "x")]).filter(lambda r: False),
+        "all_new": _pages(
+            [(f"f://{i}", " ".join(_doc(rng, vocab, 200))) for i in range(5)]
+        ),
+        "all_repeat": _pages([(u.replace("c://", "r://"), t) for u, t in corpus]),
+    }
+
+    def run(pages, idx, cfg):
+        res = incremental_dedup(pages, idx, cfg)
+        rep = res.report
+        kept = collect_table(res.kept)
+        return (
+            sorted(zip(*(rep[c].to_pylist() for c in rep.column_names))),
+            sorted(zip(kept["url"].to_pylist(), kept["doc_hash"].to_pylist())),
+            sorted(collect_table(res.kept_sigs)["doc_hash"].to_pylist()),
+        )
+
+    for mode, cfg in (
+        ("default", DedupConfig()),
+        ("exact", DedupConfig(verify_threshold=1.0, exact_set_verify=True)),
+    ):
+        idx = str(tmp_path / mode)
+        build_index(_pages(corpus), cfg, idx)
+        for name, pages in batches.items():
+            memory = run(pages, idx, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(ex, "_DRIVER_READ_MAX", -1)
+                exchange = run(pages, idx, cfg)
+            assert memory == exchange, (mode, name)
+            reasons = {r[2] for r in memory[0]}
+            if name == "planted":
+                assert {"near_corpus", "near_batch"} <= reasons, (mode, reasons)
+            if name == "all_repeat":
+                assert reasons == {"exact_corpus"} and not memory[1], mode

@@ -131,35 +131,8 @@ def test_components_np_matches_unionfind():
     assert m1 == m2
 
 
-def test_components_sharded_matches_np():
-    from dedup.unionfind import components_np, components_sharded
-
-    rng = np.random.default_rng(17)
-    a = rng.integers(-(2**62), 2**62, size=3000)
-    b = a.copy()
-    rng.shuffle(b)
-    ds = rd.from_arrow(
-        pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
-    )
-    k1, c1 = components_np(a, b)
-    k2, c2 = components_sharded(ds, n_shards=3)
-    assert dict(zip(k1.tolist(), c1.tolist())) == dict(zip(k2.tolist(), c2.tolist()))
-
-
-def test_pipeline_actor_backend_matches_driver():
-    table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)
-    ds = rd.from_arrow(table)
-    p_driver = cluster_partition(
-        near_dup_pipeline(ds, DedupConfig(min_size=1, cluster_backend="driver")).clusters
-    )
-    p_actors = cluster_partition(
-        near_dup_pipeline(ds, DedupConfig(min_size=1, cluster_backend="actors")).clusters
-    )
-    assert p_driver == p_actors
-
-
 def test_pipeline_distributed_backend_matches_driver():
-    """The fully-Dataset path (dedup_pairs → verify_distributed →
+    """The fully-Dataset path (component verifier on its Dataset tiers →
     label_propagation → bucketed-join assignment) must produce the
     bit-identical cluster table — ids, sizes and membership — while its
     edges handoff stays a Dataset (never a driver Arrow table)."""
@@ -339,42 +312,6 @@ def test_label_propagation_random_id_chain_converges():
     )
     pd.testing.assert_frame_equal(out, ref)
     assert stats["contraction_rounds"] <= 2 * int(math.log2(n)) + 4, stats
-
-
-def test_distributed_backend_verify_tiers_bit_identical():
-    """The distributed backend's two verify tiers — plasma-broadcast
-    signature matrix (candidate set under cfg.sig_broadcast_max) and the
-    bucketed-exchange join (past it) — must produce bit-identical
-    clusters AND edges. sig_broadcast_max=0 forces the join tier."""
-    from dedup.config import DedupConfig
-    from dedup.pipeline import near_dup_pipeline
-
-    table, _ = make_pages(n_exact_groups=3, n_near_groups=5, n_singletons=20)
-    ds = rd.from_arrow(table)
-    r_bc = near_dup_pipeline(
-        ds, DedupConfig(min_size=1, cluster_backend="distributed")
-    )
-    r_join = near_dup_pipeline(
-        ds,
-        DedupConfig(
-            min_size=1, cluster_backend="distributed", sig_broadcast_max=0
-        ),
-    )
-    c1 = r_bc.clusters.to_pandas().sort_values("url").reset_index(drop=True)
-    c2 = (
-        r_join.clusters.to_pandas()[c1.columns.tolist()]
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert c1.equals(c2)
-    e1 = r_bc.edges.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    e2 = r_join.edges.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    assert e1[["a", "b"]].equals(e2[["a", "b"]])
-    # exec knob must not move the config fingerprint
-    assert (
-        DedupConfig(sig_broadcast_max=0).fingerprint()
-        == DedupConfig().fingerprint()
-    )
 
 
 def test_sig_bytes_4_and_8_same_clusters():

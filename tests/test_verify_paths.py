@@ -1,5 +1,6 @@
-"""All three verification paths (driver / broadcast / bucketed-join)
-must produce identical verified edge sets."""
+"""Every MinHash verifier — driver ``verify_pairs`` over per-band
+candidate pairs and the memory and exchange tiers of the component
+verifier — must produce identical verified edge sets."""
 
 import numpy as np
 import pandas as pd
@@ -12,13 +13,7 @@ from dedup.lsh import band_rows, candidate_pairs
 from dedup.minhash import sign
 from dedup.pipeline import distinct_reps
 from dedup.synth import make_pages
-from dedup.verify import (
-    dedup_pairs,
-    verify_auto,
-    verify_broadcast,
-    verify_distributed,
-    verify_pairs,
-)
+from dedup.verify import dedup_pairs, verify_pairs
 from dedup.exchange import collect_table
 
 
@@ -41,24 +36,24 @@ def _norm(t: pa.Table) -> pd.DataFrame:
     return t.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
 
 
-def test_three_verify_paths_agree():
+def test_three_verify_paths_agree(monkeypatch):
+    import dedup.exchange as ex
+    from dedup.candidates import component_verified_edges, memory_verified_edges
+
     pairs, sigs, cfg = _setup()
     d_driver = _norm(verify_pairs(pairs, sigs, cfg))
     assert len(d_driver) > 0
-    deduped = dedup_pairs(pairs)
-    d_bcast = _norm(verify_broadcast(deduped, sigs, cfg))
-    d_join = _norm(collect_table(verify_distributed(deduped, sigs, cfg)).select(["a", "b", "sim"]))
-    pd.testing.assert_frame_equal(d_driver, d_bcast)
-    pd.testing.assert_frame_equal(d_driver, d_join)
-
-
-def test_verify_auto_switches_paths():
-    pairs, sigs, cfg = _setup()
-    d_small = _norm(verify_auto(pairs, sigs, cfg))
-    # force the broadcast path by dropping the driver ceiling to 0
-    cfg_big = DedupConfig(min_size=1, driver_verify_max=0)
-    d_forced = _norm(verify_auto(pairs, sigs, cfg_big))
-    pd.testing.assert_frame_equal(d_small, d_forced)
+    d_memory = _norm(memory_verified_edges(sigs, cfg))
+    # a guard of -1 rows sends the pinned signatures to the exchange tier
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    assert memory_verified_edges(sigs, cfg) is None
+    d_exchange = _norm(collect_table(component_verified_edges(sigs, cfg)))
+    d_lp = _norm(
+        collect_table(component_verified_edges(sigs, cfg, dataset_labels=True))
+    )
+    pd.testing.assert_frame_equal(d_driver, d_memory)
+    pd.testing.assert_frame_equal(d_driver, d_exchange)
+    pd.testing.assert_frame_equal(d_driver, d_lp)
 
 
 def test_dedup_pairs_unique_and_canonical():
@@ -74,68 +69,11 @@ def test_dedup_pairs_unique_and_canonical():
     assert got == {(3, 5), (1, -1), (7, 9)}
 
 
-def test_sig_matrix_layouts():
-    """sig_matrix must decode identically from every Arrow layout the
-    blob column takes in flight: fixed_size_binary as packed, plain
-    binary / large_binary after the pandas merge inside bucketed_join
-    (zero-copy constant-stride fast path), sliced arrays (non-zero
-    offset), and irregular layouts via the per-row fallback."""
-    import numpy as np
-
-    from dedup.verify import sig_matrix
-
-    rng = np.random.default_rng(11)
-    perms = 16
-    n = 50
-    want = rng.integers(0, 2**63, size=(n, perms), dtype=np.int64).astype(
-        np.uint64
-    )
-    blobs = [want[i].tobytes() for i in range(n)]
-    width = 8 * perms
-
-    fsb = pa.array(blobs, pa.binary(width))
-    plain = pa.array(blobs, pa.binary())
-    large = pa.array(blobs, pa.large_binary())
-    for col in (fsb, plain, large):
-        got = sig_matrix(col, n, perms, item_bytes=8)
-        assert (got == want).all(), type(col).__name__
-
-    # sliced (non-zero offset) views must respect the offset
-    for col in (fsb, plain, large):
-        sl = col.slice(10, 20)
-        got = sig_matrix(sl, 20, perms, item_bytes=8)
-        assert (got == want[10:30]).all(), f"sliced {type(col).__name__}"
-
-    # chunked input
-    ch = pa.chunked_array([plain.slice(0, 25), plain.slice(25, 25)])
-    assert (sig_matrix(ch, n, perms, item_bytes=8) == want).all()
-
-    # 4-byte slots (the default sig_bytes=4 layout)
-    want32 = want.astype(np.uint32)
-    blobs32 = [want32[i].tobytes() for i in range(n)]
-    for col in (
-        pa.array(blobs32, pa.binary(4 * perms)),
-        pa.array(blobs32, pa.binary()),
-        pa.array(blobs32, pa.large_binary()),
-    ):
-        got = sig_matrix(col, n, perms, item_bytes=4)
-        assert got.dtype == np.uint32 and (got == want32).all()
-
-    # width mismatch (an 8-byte column read under sig_bytes=4) is loud
-    import pytest
-    with pytest.raises(ValueError, match="width mismatch"):
-        sig_matrix(fsb, n, perms, item_bytes=4)
-
-
 def test_dedup_pairs_sorted_equals_groupby_after_edge_dedup():
     """The sorted dedup path may keep one duplicate per block boundary;
-    after the exact edge-level dedup its pair set must equal the exact
-    groupby path's, on a stream engineered so every pair repeats across
-    many blocks."""
-    import numpy as np
-    import ray.data as rd
-
-    from dedup.verify import _edge_table_unique, dedup_pairs, dedup_pairs_sorted
+    its pair SET must equal the exact groupby path's, on a stream
+    engineered so every pair repeats across many blocks."""
+    from dedup.verify import dedup_pairs_sorted
 
     rng = np.random.default_rng(3)
     a = rng.integers(0, 500, 20000, dtype=np.int64)
@@ -143,28 +81,11 @@ def test_dedup_pairs_sorted_equals_groupby_after_edge_dedup():
     raw = pa.table({"a": pa.array(a), "b": pa.array(b)})
     ds = rd.from_arrow(raw).repartition(16)
 
-    def collect(d):
-        t = pa.concat_tables(list(d.iter_batches(batch_size=1 << 20, batch_format="pyarrow")))
-        t = t.append_column("sim", pa.array(np.ones(len(t)), pa.float64()))
-        return _edge_table_unique(t)
+    def pairs(d) -> list:
+        t = collect_table(d)
+        return list(zip(t["a"].to_pylist(), t["b"].to_pylist()))
 
-    g = collect(dedup_pairs(ds, n_buckets=8)).sort_by([("a", "ascending"), ("b", "ascending")])
-    s = collect(dedup_pairs_sorted(ds)).sort_by([("a", "ascending"), ("b", "ascending")])
-    assert g.column("a").equals(s.column("a"))
-    assert g.column("b").equals(s.column("b"))
-    assert len(g) > 0
-
-
-def test_verify_distributed_rejects_width_mismatch():
-    """A sig table whose stored slot width disagrees with cfg.sig_bytes
-    must fail LOUDLY in pack() — from_buffers doesn't validate, so a
-    silent mismatch would interleave rows into garbage blobs (ADVICE r4)."""
-    import pytest
-    from dataclasses import replace
-
-    pairs, sigs, cfg = _setup()
-    assert cfg.sig_bytes == 4  # stored slots are int32 under the default
-    wrong = replace(cfg, sig_bytes=8)
-    deduped = dedup_pairs(pairs)
-    with pytest.raises(Exception, match="width mismatch"):
-        collect_table(verify_distributed(deduped, sigs, wrong))
+    g = pairs(dedup_pairs(ds, n_buckets=8))
+    s = pairs(dedup_pairs_sorted(ds))
+    assert len(g) == len(set(g)) > 0  # the groupby path is exact
+    assert set(g) == set(s)

@@ -9,7 +9,7 @@ operator sections verbatim, sections are de-duplicated by their exact
 text before summing — each operator execution is counted once.
 
 Usage:
-  python tools/plasma_audit.py [--backend actors|distributed]
+  python tools/plasma_audit.py [--backend driver|distributed]
                                [--sf-dir DIR] [--expand N]
 
 Prints one JSON line:
@@ -64,8 +64,8 @@ class Audit:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--backend", default="actors",
-                    choices=["driver", "actors", "distributed"])
+    ap.add_argument("--backend", default="driver",
+                    choices=["driver", "distributed"])
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
     ap.add_argument("--expand", type=int, default=20)
     ap.add_argument("--num-cpus", type=int, default=16)
