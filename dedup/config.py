@@ -61,14 +61,6 @@ class DedupConfig:
     sign_partitions: int = 8
     signer_concurrency: int = 16  # MinHash actor pool max (autoscales from 1)
     join_buckets: int = 32  # partitions for bucketed hash joins
-    # SimHash exchange tier: candidate pairs up to this many are checked
-    # on the driver (one collect + searchsorted Hamming), larger sets by
-    # a bucketed join. The driver check is SERIAL driver work — an Amdahl
-    # term that inverts scaling as CPUs grow — so it is kept only where
-    # Ray's fixed multi-stage latency would dominate. MinHash
-    # verification never reads it: the component verifier sizes its
-    # memory tier by signature rows (exchange._DRIVER_READ_MAX).
-    driver_verify_max: int = 500_000
     # connected components: "driver" = vectorized components on the
     # driver (right up to ~10^8 edges); "distributed" = Ray Data
     # min-label propagation (pure-Dataset path, edges never transit the
@@ -121,9 +113,10 @@ class DedupConfig:
         flip every pre-bump manifest's fingerprint, or the in-place
         migration chain (checkpoint.MIGRATIONS) could never keep a stage's
         data — every old checkpoint would fail the fingerprint gate before
-        migration ran. Pure EXECUTION knobs (they pick a code path, never
-        change results — ``driver_verify_max``) are excluded entirely
-        since schema v4 (the v3→v4 migration restamps matching manifests).
+        migration ran. Schema v4 dropped the one pure EXECUTION knob
+        (``driver_verify_max``, which picked a code path and never changed
+        results) from the fingerprint, and the field itself is gone; the
+        v3→v4 migration restamps manifests that match ``fingerprint_v3``.
         """
         d = asdict(self)
         # polars documents Series.hash() as NOT stable across polars
@@ -137,8 +130,7 @@ class DedupConfig:
             {
                 k: v
                 for k, v in d.items()
-                if k not in _EXEC_KNOBS
-                and (k not in _POST_V1_FIELDS or v != _FIELD_DEFAULTS[k])
+                if k not in _POST_V1_FIELDS or v != _FIELD_DEFAULTS[k]
             },
             sort_keys=True,
             default=str,
@@ -206,10 +198,9 @@ _POST_V1_FIELDS = {
     # explicit sig_bytes manifest stamp), not the fingerprint
 }
 
-# Execution-only knobs (path selection, not results): excluded from the
-# fingerprint since schema v4. Their value at the ≤v3 default is kept so
-# fingerprint_v3 can recognize pre-bump manifests.
-_EXEC_KNOBS = {"driver_verify_max"}
+# Execution-only knobs at their ≤v3 default: ≤v3 fingerprints included
+# them, so fingerprint_v3 adds them back to recognize pre-bump manifests.
+# No such knob is a config field any more.
 _EXEC_KNOB_V3_DEFAULTS = {"driver_verify_max": 20_000_000}
 
 DEFAULT = DedupConfig()

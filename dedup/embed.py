@@ -226,9 +226,6 @@ _PAIRS_EMPTY = pa.table(
      "sim": pa.array([], pa.float64())}
 )
 
-_PARALLEL_EXACT_VERIFY_MIN = 200_000  # pairs; below this one core wins
-
-
 def _exact_pair_sims(
     ids_sorted: np.ndarray, M_sorted: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -243,12 +240,6 @@ def _exact_pair_sims(
     ok = (ids_sorted[ia] == a) & (ids_sorted[ib] == b)
     sim[ok] = np.einsum("ij,ij->i", M_sorted[ia[ok]], M_sorted[ib[ok]])
     return sim
-
-
-@ray.remote
-def _exact_pair_slice(mat, a, b):
-    # `mat` arrives as the plasma-resident (ids, matrix) tuple, zero-copy
-    return _exact_pair_sims(mat[0], mat[1], a, b)
 
 
 def _prep_block(batch: pa.Table, id_col: str, emb_col: str) -> pa.Table:
@@ -523,119 +514,80 @@ def lsh_bucketed_pairs(
     id_col: str = "vec_id",
     cfg=None,
 ) -> pa.Table:
-    """Approximate near-dup pairs via random-hyperplane LSH.
+    """Approximate near-dup pairs via random-hyperplane LSH → Arrow
+    table (a, b, sim), a < b.
 
     Each of ``n_tables`` tables hashes every vector to a ``n_planes``-bit
     sign bucket; candidate pairs share a bucket in ≥1 table; candidates
-    are verified exactly. Collision prob per table = (1 - θ/π)^planes —
-    the scale path (no O(n·m) GEMM, only bucket-local work).
-    """
-    # plane matrix is seeded and broadcast once
-    first = next(
-        iter(embeddings.iter_batches(batch_size=1, batch_format="pyarrow")), None
-    )
-    if first is None or len(first) == 0:  # empty corpus → no pairs
-        return _PAIRS_EMPTY
-    d = len(first.column("embedding")[0])
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((n_tables, n_planes, d))
-    pref = ray.put(planes)
+    are verified by exact cosine. Collision prob per table =
+    (1 - θ/π)^planes — the scale path (no O(n·m) GEMM, only
+    bucket-local work).
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {"bkey": pa.array([], pa.int64()),
-                 "vid": pa.array([], pa.int64())}
-            )
-        P = ray.get(pref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        X = _normalize(_emb_matrix(batch))
-        out_key, out_id = [], []
-        for t in range(P.shape[0]):
-            bits = (X @ P[t].T) > 0  # (n, planes)
+    Pairs are generated and checked by the candidate engine
+    (``candidates.component_verified_edges``, cosine kernel): buckets up
+    to ``cfg.allpairs_bucket_max`` emit ALL member-member pairs (the
+    threshold check is not connectivity-preserving, so star edges alone
+    would lose member pairs whose edges to a dissimilar bucket rep fail
+    — tests/test_lsh_allpairs.py pins the scenario); a hot bucket
+    (all-near-identical corpus) stays O(n) via the star fallback, whose
+    residual recall loss is documented in COVERAGE.md. ``cfg`` carries
+    the caller's tuning (join_buckets / allpairs_bucket_max /
+    broadcast_max_rows).
+    """
+    from .candidates import EDGES_SCHEMA, Kernel, component_verified_edges
+    from .config import DedupConfig
+    from .exchange import collect_table
+
+    def planes(d: int) -> np.ndarray:
+        # seeded, so every batch and group derives the same planes
+        return np.random.default_rng(seed).standard_normal((n_tables, n_planes, d))
+
+    def keys(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        ids = t.column("doc_hash").to_numpy(zero_copy_only=False)
+        if not len(ids):
+            return ids, ids
+        X = _normalize(_emb_matrix(t))
+        P = planes(X.shape[1])
+        out_key = []
+        for p in range(n_tables):
+            bits = (X @ P[p].T) > 0  # (n, planes)
             key = np.zeros(len(ids), dtype=U64)
-            for j in range(P.shape[1]):
+            for j in range(n_planes):
                 key = (key << np.uint64(1)) | bits[:, j].astype(U64)
             with np.errstate(over="ignore"):
-                key = fmix64(key ^ (U64(t) << np.uint64(56)))
+                key = fmix64(key ^ (U64(p) << np.uint64(56)))
             out_key.append(key.view(np.int64))
-            out_id.append(ids)
-        return pa.table(
-            {
-                "bkey": pa.array(np.concatenate(out_key), pa.int64()),
-                "vid": pa.array(np.concatenate(out_id), pa.int64()),
-            }
-        )
+        return np.tile(ids, n_tables), np.concatenate(out_key)
 
-    # Candidate generation reuses the skew-proof sorted-segment machinery
-    # from lsh.candidate_pairs: band rows shuffle (16 B each); buckets up
-    # to cfg.allpairs_bucket_max emit ALL member-member pairs (the
-    # post-verification filter is not connectivity-preserving, so star
-    # edges alone would lose member pairs whose edges to a dissimilar
-    # bucket rep fail — tests/test_lsh_allpairs.py pins the scenario);
-    # a hot bucket (all-near-identical corpus) stays O(n) via the star
-    # fallback, never the O(n²) triu_indices blowup of the earlier
-    # driver-side loop. Residual recall loss beyond the cap is documented
-    # in COVERAGE.md.
-    from .config import DedupConfig as _Cfg
-    from .exchange import collect_table, semi_filter
-    from .lsh import candidate_pairs
-    from .verify import dedup_pairs
+    def check(g: pa.Table, a: np.ndarray, b: np.ndarray):
+        ids = g.column("doc_hash").to_numpy(zero_copy_only=False)
+        o = np.argsort(ids)
+        sim = _exact_pair_sims(ids[o], _normalize(_emb_matrix(g))[o], a, b)
+        return sim >= threshold, sim
 
-    rows = embeddings.map_batches(bucketize, batch_format="pyarrow").map_batches(
-        lambda t: t.rename_columns(["bkey", "doc_hash"]), batch_format="pyarrow"
+    rows = embeddings.map_batches(
+        lambda t: pa.table(
+            {"doc_hash": pa.array(
+                t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64),
+                pa.int64()),
+             "embedding": t.column("embedding")}
+        ),
+        batch_format="pyarrow",
     )
-    # honor the caller's tuning (join_buckets / allpairs_bucket_max);
-    # a hardcoded default silently dropped deployment settings
-    _cfg = cfg if cfg is not None else _Cfg()
-    edges, chain = candidate_pairs(rows, _cfg)
-    import ray.data as rd
-
-    pairs = edges
-    if len(chain):
-        pairs = pairs.union(rd.from_arrow(chain))
-    cand_tbl = collect_table(dedup_pairs(pairs, n_buckets=_cfg.join_buckets))
-    if not len(cand_tbl):
-        return _PAIRS_EMPTY
-    ca = cand_tbl.column("a").to_numpy(zero_copy_only=False)
-    cb = cand_tbl.column("b").to_numpy(zero_copy_only=False)
-
-    # exact verification against candidate-INVOLVED vectors only (bounded
-    # by docs in ≥1 candidate pair, not the corpus), broadcast once
-    involved = np.sort(np.unique(np.concatenate([ca, cb])))
-    sub = collect_table(
-        semi_filter(
-            embeddings.map_batches(
-                lambda b: _prep_block(b, id_col, "embedding"),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            "vec_id", involved,
-        )
+    edges = collect_table(
+        component_verified_edges(
+            rows, cfg or DedupConfig(),
+            kernel=Kernel(["doc_hash", "embedding"], keys, check),
+        ),
+        schema=EDGES_SCHEMA,
     )
-    ids_s, M_s = _unpack_block(sub)
-    o = np.argsort(ids_s)
-    ids_s, M_s = ids_s[o], M_s[o]
-    if len(ca) >= _PARALLEL_EXACT_VERIFY_MIN:
-        # distributed exact check: the candidate-involved matrix is put in
-        # plasma ONCE; Ray tasks each verify a pair slice against the one
-        # shared zero-copy copy — no driver einsum over the full set
-        mref = ray.put((ids_s, M_s))
-        n_slices = 16
-        step = -(-len(ca) // n_slices)
-        futs = [
-            _exact_pair_slice.remote(mref, ca[s : s + step], cb[s : s + step])
-            for s in range(0, len(ca), step)
-        ]
-        sim = np.concatenate(ray.get(futs))
-    else:
-        sim = _exact_pair_sims(ids_s, M_s, ca, cb)
-    keep = sim >= threshold
-    lo = np.minimum(ca[keep], cb[keep])
-    hi = np.maximum(ca[keep], cb[keep])
+    # the engine canonicalizes in uint64 order; the contract is signed
+    a = edges.column("a").to_numpy(zero_copy_only=False)
+    b = edges.column("b").to_numpy(zero_copy_only=False)
     return pa.table(
         {
-            "a": pa.array(lo, pa.int64()),
-            "b": pa.array(hi, pa.int64()),
-            "sim": pa.array(sim[keep], pa.float64()),
+            "a": pa.array(np.minimum(a, b), pa.int64()),
+            "b": pa.array(np.maximum(a, b), pa.int64()),
+            "sim": edges.column("sim"),
         }
     )

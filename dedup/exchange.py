@@ -457,6 +457,10 @@ def bucketed_join(
     keys: the bucket count spreads distinct keys; a single pathological key
     still lands in one bucket (callers pre-aggregate such keys — see
     lsh.candidate_pairs salting).
+
+    Both sides' schemas are read up front: pass a materialized side or
+    one typed by ``ensure_schema``, or a lazy side pays a probing
+    ``limit=1`` execution of its whole upstream plan.
     """
     if how not in ("inner", "left"):
         raise ValueError(f"bucketed_join supports inner/left, got {how!r}")
@@ -714,11 +718,18 @@ def ensure_schema(ds: Dataset, schema: pa.Schema) -> Dataset:
     reports a schema. Sort/groupby stages over empty inputs yield
     schema-less datasets (``ds.schema() is None``), which breaks any
     downstream ``bucketed_join``; the empty union branch costs nothing when
-    rows exist."""
+    rows exist.
+
+    The result's plan also records ``schema``, so ``schema()`` on it —
+    e.g. ``bucketed_join``'s — answers without executing: Ray infers no
+    schema through a map or a union and would otherwise run a ``limit=1``
+    pass of the whole upstream plan, which then runs again for the
+    data."""
     import ray.data as rd
 
-    cols = {f.name: pa.array([], f.type) for f in schema}
-    return ds.union(rd.from_arrow(pa.table(cols)))
+    out = ds.union(rd.from_arrow(schema.empty_table()))
+    out._plan.cache_schema(schema)
+    return out
 
 
 def collect_table(

@@ -177,8 +177,8 @@ def segment_pairs(
     segment all-pairs (segments ≤ ``cap``) or bucket-min stars (jumbo),
     canonicalized (a = uint64-min) and exactly deduplicated.
 
-    The vectorized core of the component-localized regeneration pass
-    (``candidates.component_candidate_pairs``): same per-bucket
+    The vectorized core of the candidate engine's per-group regeneration
+    (``candidates._verify_group``, every kernel): same per-bucket
     semantics as ``_emit_star``, but over a WHOLE component's band rows
     at once — no fragment boundaries, and the cross-band duplicates of a
     pair die in the in-memory unique instead of a corpus-wide shuffle.
@@ -209,8 +209,8 @@ def candidate_pairs(
 
     ``star_only``: emit bucket-min → member star edges for EVERY
     multi-member bucket (``allpairs_max=0``) — the connectivity-only
-    pass of ``candidates.component_candidate_pairs``, which regenerates
-    the exact pair set per component afterwards. A true duplicate pair
+    star pass of the candidate engine (``candidates._tagged_sig_rows``),
+    which regenerates the exact pair set per component afterwards. A true duplicate pair
     collides in nearly every band, so the all-pairs stream repeats each
     pair ~``bands`` times; the star stream is linear in bucket size
     (measured at 500k pages / 50-member planted clusters: 51M raw pair

@@ -622,17 +622,14 @@ def _near_dup_distributed(
     )
 
     # node → (cluster_id, cluster_size) for component members
-    lab_sz = ensure_schema(
-        bucketed_join(
-            labels, sizes, "label", "label", n_buckets=cfg.join_buckets
-        ).map_batches(
-            lambda t: pa.table(
-                {"__node": t.column("node"), "cluster_id": t.column("label"),
-                 "cluster_size": t.column("cluster_size")}
-            ),
-            batch_format="pyarrow",
+    lab_sz = bucketed_join(
+        labels, sizes, "label", "label", n_buckets=cfg.join_buckets
+    ).map_batches(
+        lambda t: pa.table(
+            {"__node": t.column("node"), "cluster_id": t.column("label"),
+             "cluster_size": t.column("cluster_size")}
         ),
-        _MAP_SCHEMA,
+        batch_format="pyarrow",
     )
 
     # exact-duplicated hashes with no near-dup component: identity clusters
@@ -643,20 +640,17 @@ def _near_dup_distributed(
              "cluster_size": t.column("cnt")}
         )
 
-    exact_only = ensure_schema(
-        bucketed_join(
-            urlcnt_dup,
-            ensure_schema(
-                labels.map_batches(
-                    lambda t: pa.table({"__n2": t.column("node")}),
-                    batch_format="pyarrow",
-                ),
-                pa.schema([("__n2", pa.int64())]),
+    exact_only = bucketed_join(
+        urlcnt_dup,
+        ensure_schema(
+            labels.map_batches(
+                lambda t: pa.table({"__n2": t.column("node")}),
+                batch_format="pyarrow",
             ),
-            "doc_hash", "__n2", n_buckets=cfg.join_buckets, how="left",
-        ).map_batches(only_missing, batch_format="pyarrow"),
-        _MAP_SCHEMA,
-    )
+            pa.schema([("__n2", pa.int64())]),
+        ),
+        "doc_hash", "__n2", n_buckets=cfg.join_buckets, how="left",
+    ).map_batches(only_missing, batch_format="pyarrow")
 
     # the single corpus-wide exchange: inner join IS the singleton filter.
     # Typed: an ingest pin with no blocks reports no schema to join by.
@@ -667,7 +661,8 @@ def _near_dup_distributed(
     )
     clusters = ensure_schema(
         bucketed_join(
-            narrow, lab_sz.union(exact_only), "doc_hash", "__node",
+            narrow, ensure_schema(lab_sz.union(exact_only), _MAP_SCHEMA),
+            "doc_hash", "__node",
             n_buckets=cfg.join_buckets,
         ).map_batches(lambda t: t.select(CLUSTERS.names), batch_format="pyarrow"),
         CLUSTERS,

@@ -15,32 +15,15 @@ default) collapses past ~4M docs: mean bucket size exceeds
 member-pair recall silently dies. Verified by exact Hamming distance,
 clustered with union-find.
 
-Two tiers, chosen by ``exchange.pinned_table``'s guard on the pinned
-fingerprints (8 bytes per distinct doc):
-
-- **memory tier** (a pin within ``exchange._DRIVER_READ_MAX`` rows): the
-  fingerprints are read onto the driver with no execution; block keys
-  (``_block_keys``), the exact per-bucket pair set
-  (``lsh.segment_pairs``) and the Hamming check (``_verify_hamming``)
-  run in memory. Only the ingest pin, the fingerprint pin and the
-  caller's collect execute.
-- **exchange tier** (a lazy input or a bigger pin): combination keys
-  feed ``lsh.candidate_pairs`` (sort-based star emission with boundary
-  chaining — the skew-proof pair generator), pairs deduplicate in a
-  narrow exchange (``verify.dedup_pairs``), and verification is
-  size-guarded: a driver-sized set (≤ cfg.driver_verify_max) collects
-  its fingerprints and checks locally (``_verify_hamming``), a larger
-  one takes two bucketed fingerprint joins and checks Hamming inside
-  the exchange — the driver never holds a corpus-shaped pair stream.
-
-The memory tier's pairs are the exact per-bucket set over the TRUE
-bucket, as in the flagship's memory tier (``candidates.py``), so the
-tiers differ only in the sorted-block fragment corner cases listed
-there: pairs split across fragments of one bucket are emitted (the
-exchange tier chains fragments but skips their cross-fragment pairs),
-and an over-cap bucket gets stars at its true size and true min. Every
-emitted pair is Hamming-checked on both tiers, so no unverified edge
-enters a cluster. Both tiers assign clusters through
+Pairs are found and verified by the candidate engine
+(``candidates.py``) with the SimHash kernel (``simhash_kernel``):
+block-combination keys (``_block_keys``) at the ``_block_scheme`` rung,
+Hamming distance ≤ ``hamming_max`` as the check. Its memory tier reads
+a pinned fingerprint set within ``exchange._DRIVER_READ_MAX`` rows onto
+the driver (only the ingest pin, the fingerprint pin and the caller's
+collect execute); a bigger pin takes its exchange tier (star pass →
+components → per-group regen + check). Both tiers run one code path
+and return the same edges. Clusters are assigned through
 ``pipeline.assign_clusters``, the flagship's driver assignment.
 
 Complementary to MinHash: SimHash Hamming distance tracks cosine/token
@@ -52,13 +35,17 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 from ray.data import Dataset
 
+from .candidates import (
+    EDGES_SCHEMA,
+    Kernel,
+    component_verified_edges,
+    memory_verified_edges,
+)
 from .config import DedupConfig
-from .exchange import collect_table, dup_key_counts, pinned_table, semi_filter
+from .exchange import collect_table, dup_key_counts
 from .hashing import U64, fmix64
-from .lsh import candidate_pairs, segment_pairs
 from .minhash import _token_lists, shingle_hashes
 from .schema import CLUSTERS
 
@@ -158,8 +145,7 @@ def _block_keys(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fingerprints → (doc_hash, bkey) arrays, one row per block
     combination (``choose`` of ``n_blocks`` near-equal blocks
-    concatenated per key). Docs with no shingles get no rows. The one
-    key kernel of both tiers."""
+    concatenated per key). Docs with no shingles get no rows."""
     from itertools import combinations
 
     combos = list(combinations(range(n_blocks), choose))
@@ -182,141 +168,43 @@ def _block_keys(
     return np.tile(dh, len(combos)), np.concatenate(keys).view(np.int64)
 
 
-def _chunk_rows(fps: Dataset, n_blocks: int = 4, choose: int = 1) -> Dataset:
-    """fingerprints → (doc_hash, bkey) rows (``_block_keys`` per batch)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        dh, bkey = _block_keys(
-            *(batch.column(c).to_numpy(zero_copy_only=False)
-              for c in ("doc_hash", "simhash", "n_shingles")),
-            n_blocks, choose,
-        )
-        return pa.table(
-            {"doc_hash": pa.array(dh, pa.int64()),
-             "bkey": pa.array(bkey, pa.int64())}
-        )
-
-    return fps.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = (a.view(U64) ^ b.view(U64)).view(np.uint8).reshape(len(a), 8)
     return np.unpackbits(x, axis=1).sum(axis=1).astype(np.int64)
 
 
-def _verify_hamming(
-    a: np.ndarray, b: np.ndarray, fp: pa.Table, hamming_max: int,
-    exact_multiset: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs (a, b) → the pairs whose fingerprints in ``fp``
-    (doc_hash, simhash, mset_hash) are within ``hamming_max`` bits (and,
-    in ``exact_multiset`` mode, have equal multiset hashes). A pair with
-    a doc missing from ``fp`` is dropped."""
-    if not len(a):
-        return a, b
-    ids, vals, msets = (
-        fp.column(c).to_numpy(zero_copy_only=False)
-        for c in ("doc_hash", "simhash", "mset_hash")
-    )
-    o = np.argsort(ids)
-    ids, vals, msets = ids[o], vals[o], msets[o]
-    ia = np.minimum(np.searchsorted(ids, a), len(ids) - 1)
-    ib = np.minimum(np.searchsorted(ids, b), len(ids) - 1)
-    ok = (ids[ia] == a) & (ids[ib] == b)
-    d = np.full(len(a), 64, np.int64)
-    d[ok] = _hamming(vals[ia[ok]], vals[ib[ok]])
-    keep = d <= hamming_max
-    if exact_multiset:
-        keep &= ok & (msets[ia] == msets[ib])
-    return a[keep], b[keep]
+def simhash_kernel(
+    n_docs: int, cfg: DedupConfig, hamming_max: int, exact_multiset: bool
+) -> Kernel:
+    """The candidate engine's SimHash kernel: ``_block_keys`` at the
+    ``_block_scheme`` rung for ``n_docs`` fingerprints; a pair passes at
+    Hamming distance ≤ ``hamming_max`` (and, in ``exact_multiset`` mode,
+    equal multiset hashes), with sim = 1 − d/64."""
+    rung = _block_scheme(n_docs, hamming_max, cfg.allpairs_bucket_max)
 
-
-def _exchange_edges(
-    fps: Dataset, cfg: DedupConfig, hamming_max: int, exact_multiset: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exchange tier's verified edges: band sort → ``dedup_pairs``
-    → driver or bucketed-join Hamming check."""
-    chunks = _chunk_rows(
-        fps, *_block_scheme(fps.count(), hamming_max, cfg.allpairs_bucket_max)
-    )
-    pairs, chain = candidate_pairs(chunks, cfg)
-    if len(chain):
-        pairs = pairs.union(rd.from_arrow(chain))
-
-    # size-guarded verification: deduplicate the (band-repeated) pair
-    # stream in a narrow exchange first, then pick the tier by count —
-    # the driver path was previously unconditional, a corpus-shaped
-    # driver collect at scale
-    from .verify import dedup_pairs
-
-    deduped = dedup_pairs(pairs, n_buckets=cfg.join_buckets).materialize()
-    n_pairs = deduped.count()
-    empty = np.empty(0, np.int64)
-    if not n_pairs:
-        return empty, empty
-    if n_pairs <= cfg.driver_verify_max:
-        pt = collect_table(deduped)
-        a = pt.column("a").to_numpy(zero_copy_only=False)
-        b = pt.column("b").to_numpy(zero_copy_only=False)
-        cand = np.sort(np.unique(np.concatenate([a, b])))
-        sub = collect_table(
-            semi_filter(
-                fps.select_columns(["doc_hash", "simhash", "mset_hash"]),
-                "doc_hash", cand,
-                max_broadcast_rows=cfg.broadcast_max_rows,
-                n_buckets=cfg.join_buckets,
-            )
+    def keys(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        return _block_keys(
+            *(t.column(c).to_numpy(zero_copy_only=False)
+              for c in ("doc_hash", "simhash", "n_shingles")),
+            *rung,
         )
-        return _verify_hamming(a, b, sub, hamming_max, exact_multiset)
-    # distributed tier: fingerprints attach through two bucketed joins;
-    # Hamming checks run inside the exchange and only the (dup-bounded)
-    # verified edges ever reach the driver
-    from .exchange import bucketed_join
 
-    fa = fps.map_batches(
-        lambda t: pa.table(
-            {"__fa": t.column("doc_hash"), "__sa": t.column("simhash"),
-             "__ma": t.column("mset_hash")}
-        ),
-        batch_format="pyarrow",
-    )
-    fb = fps.map_batches(
-        lambda t: pa.table(
-            {"__fb": t.column("doc_hash"), "__sb": t.column("simhash"),
-             "__mb": t.column("mset_hash")}
-        ),
-        batch_format="pyarrow",
-    )
-    j = bucketed_join(
-        bucketed_join(deduped, fa, "a", "__fa", how="left",
-                      n_buckets=cfg.join_buckets),
-        fb, "b", "__fb", how="left", n_buckets=cfg.join_buckets,
-    )
-
-    def check(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ok_m = pc.and_(
-            pc.is_valid(t.column("__sa")), pc.is_valid(t.column("__sb"))
+    def check(g: pa.Table, a: np.ndarray, b: np.ndarray):
+        ids, vals, msets = (
+            g.column(c).to_numpy(zero_copy_only=False)
+            for c in ("doc_hash", "simhash", "mset_hash")
         )
-        t = t.filter(ok_m)
-        sa = t.column("__sa").to_numpy(zero_copy_only=False)
-        sb = t.column("__sb").to_numpy(zero_copy_only=False)
-        keep = _hamming(sa, sb) <= hamming_max
+        o = np.argsort(ids)
+        ids_s = ids[o]
+        # a, b are group members by construction — searchsorted hits
+        ia, ib = o[np.searchsorted(ids_s, a)], o[np.searchsorted(ids_s, b)]
+        d = _hamming(vals[ia], vals[ib])
+        keep = d <= hamming_max
         if exact_multiset:
-            ma = t.column("__ma").to_numpy(zero_copy_only=False)
-            mb = t.column("__mb").to_numpy(zero_copy_only=False)
-            keep &= ma == mb
-        t = t.filter(pa.array(keep))
-        return pa.table({"a": t.column("a"), "b": t.column("b")})
+            keep &= msets[ia] == msets[ib]
+        return keep, 1.0 - d / 64.0
 
-    et = collect_table(j.map_batches(check, batch_format="pyarrow"))
-    if not len(et):
-        return empty, empty
-    return (
-        et.column("a").to_numpy(zero_copy_only=False),
-        et.column("b").to_numpy(zero_copy_only=False),
-    )
+    return Kernel(["doc_hash", "simhash", "n_shingles", "mset_hash"], keys, check)
 
 
 def simhash_clusters(
@@ -333,8 +221,9 @@ def simhash_clusters(
     (group docs by shingle multiset) used by the oracle-checked
     ``simhash_exact_mode`` query.
 
-    Tiers (module docstring): a small fingerprint pin finds, verifies
-    and clusters its pairs on the driver; otherwise the exchange tier.
+    Tiers (module docstring): a small fingerprint pin finds and
+    verifies its pairs on the driver; otherwise the engine's exchange
+    tier.
     """
     from .ingest import ingest
     from .pipeline import assign_clusters, distinct_reps
@@ -353,21 +242,14 @@ def simhash_clusters(
         max_broadcast_rows=cfg.broadcast_max_rows,
     )
     fps = simhash_fingerprints(reps, cfg).materialize()
-    fp = pinned_table(fps, ["doc_hash", "simhash", "n_shingles", "mset_hash"])
-    if fp is None:
-        edges_a, edges_b = _exchange_edges(fps, cfg, hamming_max, exact_multiset)
-    elif len(fp):
-        cols = [
-            fp.column(c).to_numpy(zero_copy_only=False)
-            for c in ("doc_hash", "simhash", "n_shingles")
-        ]
-        kd, bk = _block_keys(
-            *cols, *_block_scheme(len(fp), hamming_max, cfg.allpairs_bucket_max)
+    k = simhash_kernel(fps.count(), cfg, hamming_max, exact_multiset)
+    edges = memory_verified_edges(fps, cfg, k)
+    if edges is None:
+        edges = collect_table(
+            component_verified_edges(fps, cfg, kernel=k), schema=EDGES_SCHEMA
         )
-        a, b = segment_pairs(bk, kd, cfg.allpairs_bucket_max)
-        edges_a, edges_b = _verify_hamming(a, b, fp, hamming_max, exact_multiset)
-    else:  # an empty pin: nothing to pair
-        edges_a = edges_b = np.empty(0, np.int64)
-
-    keys, cids = components_np(edges_a, edges_b)
+    keys, cids = components_np(
+        edges.column("a").to_numpy(zero_copy_only=False),
+        edges.column("b").to_numpy(zero_copy_only=False),
+    )
     return assign_clusters(ing, keys, cids, dup_hashes, dup_cnts, cfg, _OUT)

@@ -10,8 +10,9 @@ collisions can overestimate a span with probability ~2^-64 per probe
 
 Runs as an actor-pool ``map_batches`` stage over pair batches carrying
 both texts (``SpanFinder``); ``long_span_pairs`` wires it to the
-near-dup pipeline's verified edges, attaching texts by broadcast from
-the (small) candidate-involved representative set.
+verified MinHash edges of the candidate engine (``candidates.py``),
+attaching texts by broadcast from the (small) candidate-involved
+representative set.
 """
 
 from __future__ import annotations
@@ -155,23 +156,24 @@ def long_span_pairs(
 ) -> Dataset:
     """pages → (a, b, lcs_len) for verified near-dup pairs with a common
     substring of ≥ ``min_span`` bytes. a/b are doc_hash identities."""
-    from .exchange import semi_filter
+    from .candidates import (
+        EDGES_SCHEMA,
+        component_verified_edges,
+        memory_verified_edges,
+    )
+    from .exchange import collect_table, semi_filter
     from .ingest import ingest
-    from .lsh import band_rows, candidate_pairs
     from .minhash import sign
     from .pipeline import distinct_reps
-    from .verify import verify_pairs
     import ray.data as rd
 
     cfg = cfg or DedupConfig()
     ing = ingest(pages, cfg).materialize()  # distinct_reps makes 3 passes
     reps = distinct_reps(ing).materialize()  # consumed by sign + text attach
-    sigs = sign(reps, cfg).materialize()  # consumed by band_rows + verify
-    bands = band_rows(sigs, cfg)
-    pairs, chain = candidate_pairs(bands, cfg)
-    if len(chain):
-        pairs = pairs.union(rd.from_arrow(chain))
-    edges = verify_pairs(pairs, sigs, cfg)  # (a, b, sim) arrow table
+    sigs = sign(reps, cfg).materialize()
+    edges = memory_verified_edges(sigs, cfg)  # (a, b, sim) arrow table
+    if edges is None:
+        edges = collect_table(component_verified_edges(sigs, cfg), schema=EDGES_SCHEMA)
     if len(edges) == 0:
         return rd.from_arrow(
             pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),

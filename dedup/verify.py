@@ -7,26 +7,22 @@ config (b=32, r=4 — tuned for recall ≥0.99 at J ≥ 0.7) from admitting
 low-similarity bucket collisions into components.
 
 The agreement kernel (``_compare_slice`` over a ``_prep_sigs`` index)
-is shared by every MinHash verifier: ``candidates._verify_group`` runs it
-inside each component group (the flagship and incremental dedup), and
-``verify_pairs`` runs it on the driver over a pair Dataset (``suffix.py``
-and the tests' reference). The pair-dedup helpers (``dedup_pairs``,
-``dedup_pairs_sorted``) serve the star pass and the SimHash exchange
-tier.
+is the check of the candidate engine's MinHash kernel
+(``candidates.minhash_kernel``), which runs it inside each component
+group. ``verify_pairs`` runs the same kernel serially on the driver over
+a pair Dataset — the tests' reference for the engine. The pair canon
+(``_canon_unique_np``) and ``dedup_pairs_sorted`` serve the engine's
+per-group pair regeneration and its star pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import collect_table, semi_filter
-
-
-_PARALLEL_VERIFY_MIN = 200_000  # pairs; below this one core wins
 
 
 def _adjacent_first_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,8 +49,8 @@ def _canon_unique_np(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _canon_unique_batch(batch: pa.Table) -> pa.Table:
-    """Table form of ``_canon_unique_np`` — the per-batch combiner both
-    distributed pair-dedup paths run before their shuffle."""
+    """Table form of ``_canon_unique_np`` — the per-batch combiner
+    ``dedup_pairs_sorted`` runs before its sort."""
     a = batch.column("a").to_numpy(zero_copy_only=False)
     b = batch.column("b").to_numpy(zero_copy_only=False)
     a, b = _canon_unique_np(a, b)
@@ -110,11 +106,6 @@ def _compare_slice(
     return sim
 
 
-@ray.remote
-def _verify_slice(sig_index, a, b, num_perm):
-    return _compare_slice(sig_index, a, b, num_perm)
-
-
 def _sig_matrix(sig_tbl: pa.Table, num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     ids = sig_tbl.column("doc_hash").to_numpy(zero_copy_only=False)
     col = sig_tbl.column("sig")
@@ -134,7 +125,8 @@ def _prep_sigs(st: pa.Table, num_perm: int):
 def verify_pairs(
     pairs: Dataset, sigs: Dataset, cfg: DedupConfig
 ) -> pa.Table:
-    """→ Arrow table (a, b, sim) of pairs with sim ≥ threshold (driver path)."""
+    """→ Arrow table (a, b, sim) of pairs with sim ≥ threshold, verified
+    serially on the driver (the tests' reference for the engine)."""
     pt = collect_table(pairs)
     if len(pt) == 0:
         return pa.table(
@@ -158,20 +150,7 @@ def verify_pairs(
     cand = np.sort(np.unique(np.concatenate([a, b])))
     sub = semi_filter(sigs.select_columns(["doc_hash", "sig"]), "doc_hash", cand)
     st = collect_table(sub)
-    sig_index = _prep_sigs(st, cfg.num_perm)
-    if len(a) >= _PARALLEL_VERIFY_MIN:
-        # fan the compare out as Ray tasks over pair slices; every task
-        # reads the one plasma copy of the signature matrix zero-copy
-        sig_ref = ray.put(sig_index)
-        n_slices = 16
-        step = -(-len(a) // n_slices)
-        futs = [
-            _verify_slice.remote(sig_ref, a[s : s + step], b[s : s + step], cfg.num_perm)
-            for s in range(0, len(a), step)
-        ]
-        sim = np.concatenate(ray.get(futs))
-    else:
-        sim = _compare_slice(sig_index, a, b, cfg.num_perm)
+    sim = _compare_slice(_prep_sigs(st, cfg.num_perm), a, b, cfg.num_perm)
     keep = sim >= cfg.verify_threshold
     return pa.table(
         {
@@ -182,40 +161,12 @@ def verify_pairs(
     )
 
 
-def dedup_pairs(pairs: Dataset, n_buckets: int = 64) -> Dataset:
-    """Canonicalize (a<b uint64 order, drop self) and globally de-duplicate
-    candidate pairs — the same pair arrives once per shared band, so at
-    scale the dedup MUST happen before signatures are attached (narrow
-    16-byte rows shuffle; signatures are 1 KiB each)."""
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import fmix64
-
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = fmix64(a.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ b.view(np.uint64))
-        return batch.append_column(
-            "__bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int32), pa.int32())
-        )
-
-    # per-batch canon combiner, then 64-bucket single-key groupby +
-    # vectorized per-bucket unique — a groupby keyed on the
-    # (huge-cardinality) pair itself is far slower
-    c = pairs.map_batches(_canon_unique_batch, batch_format="pyarrow")
-    return (
-        c.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_pair_table_unique, batch_format="pyarrow")
-    )
-
-
 def dedup_pairs_sorted(pairs: Dataset) -> Dataset:
     """Near-exact pair dedup via range-partition sort instead of groupby.
 
     canon (per-batch combiner) → ``sort(a, b)`` → per-batch adjacent
-    dedup. Measured 1.8× faster than ``dedup_pairs``' bucket groupby at
-    15M raw pairs (3.6 s vs 6.6 s at 4 CPUs), and both phases are plain
+    dedup. Measured 1.8× faster than a bucket-groupby dedup at 15M raw
+    pairs (3.6 s vs 6.6 s at 4 CPUs), and both phases are plain
     shuffle/map stages that scale. CAVEAT: a duplicate pair can survive
     when a sorted block/batch boundary splits its run — at most one per
     boundary. Its caller, the star pass of ``candidates._tagged_sig_rows``,

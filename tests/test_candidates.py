@@ -1,13 +1,13 @@
-"""Component-localized candidate generation (dedup/candidates.py) must
-produce the per-band emission's pair set — exactly unique, canonical —
-on corpora without fragment/jumbo corner cases, and identical results
-across its driver-components and Dataset-labels tiers."""
+"""The candidate engine (dedup/candidates.py) must produce the per-band
+emission's pair set — exactly unique, canonical — on corpora without
+fragment/jumbo corner cases, and identical results across its memory,
+driver-components and Dataset-labels tiers."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from dedup.candidates import component_candidate_pairs
+from dedup.candidates import component_verified_edges, memory_verified_edges
 from dedup.config import DedupConfig
 from dedup.exchange import collect_table
 from dedup.ingest import ingest
@@ -15,7 +15,7 @@ from dedup.lsh import band_rows, candidate_pairs, segment_pairs
 from dedup.minhash import sign
 from dedup.pipeline import distinct_reps
 from dedup.synth import make_pages
-from dedup.verify import dedup_pairs
+from dedup.verify import _canon_unique_np
 
 
 def _sigs(cfg):
@@ -38,40 +38,40 @@ def _pair_set(t: pa.Table) -> set:
     return set(zip(t["a"].to_pylist(), t["b"].to_pylist()))
 
 
-def test_component_pairs_equal_classic():
-    cfg = DedupConfig(min_size=1)
-    sigs = _sigs(cfg)
+def _classic_pairs(sigs, cfg) -> set:
+    """Per-band candidate pairs, canonicalized and exactly deduplicated."""
     pairs_c, chain = candidate_pairs(band_rows(sigs, cfg), cfg)
-    if len(chain):
-        pairs_c = pairs_c.union(rd.from_arrow(chain))
-    classic = _pair_set(collect_table(dedup_pairs(pairs_c)))
-    comp_ds, cand = component_candidate_pairs(sigs, cfg)
-    comp_t = collect_table(comp_ds)
+    t = collect_table(pairs_c.union(rd.from_arrow(chain)))
+    a, b = _canon_unique_np(t["a"].to_numpy(zero_copy_only=False),
+                            t["b"].to_numpy(zero_copy_only=False))
+    return set(zip(a.tolist(), b.tolist()))
+
+
+def test_component_pairs_equal_classic():
+    # threshold 0 keeps every candidate pair, so the edges ARE the pairs
+    cfg = DedupConfig(min_size=1, verify_threshold=0.0)
+    sigs = _sigs(cfg)
+    classic = _classic_pairs(sigs, cfg)
+    comp_t = collect_table(component_verified_edges(sigs, cfg))
     comp = _pair_set(comp_t)
-    assert comp == classic
+    assert comp and comp == classic
     # exactly unique — no cross-band or cross-block repeats survive
     assert len(comp_t) == len(comp)
-    # the candidate array is the sorted node set of the pair graph
-    nodes = np.unique(
-        np.concatenate([comp_t["a"].to_numpy(zero_copy_only=False),
-                        comp_t["b"].to_numpy(zero_copy_only=False)])
-    )
-    assert cand is not None and np.array_equal(cand, nodes)
 
 
 def test_component_tiers_identical():
-    cfg = DedupConfig(min_size=1)
+    cfg = DedupConfig(min_size=1, verify_threshold=0.0)
     sigs = _sigs(cfg)
-    t1, cand = component_candidate_pairs(sigs, cfg)
-    t2, cand2 = component_candidate_pairs(sigs, cfg, dataset_labels=True)
-    assert cand2 is None
-    assert _pair_set(collect_table(t1)) == _pair_set(collect_table(t2))
+    lazy = sigs.map_batches(lambda t: t, batch_format="pyarrow")
+    t1 = memory_verified_edges(sigs, cfg)
+    t2 = collect_table(component_verified_edges(lazy, cfg))
+    t3 = collect_table(component_verified_edges(sigs, cfg, dataset_labels=True))
+    assert _pair_set(t1) == _pair_set(t2) == _pair_set(t3) and len(t1)
     # guard fallback (broadcast_max_rows=0 forces the Dataset tier)
-    t3, cand3 = component_candidate_pairs(
-        sigs, DedupConfig(min_size=1, broadcast_max_rows=0)
-    )
-    assert cand3 is None
-    assert _pair_set(collect_table(t3)) == _pair_set(collect_table(t1))
+    t4 = collect_table(component_verified_edges(
+        lazy, DedupConfig(min_size=1, verify_threshold=0.0, broadcast_max_rows=0)
+    ))
+    assert _pair_set(t4) == _pair_set(t1)
 
 
 def test_segment_pairs_allpairs_and_star():
@@ -96,8 +96,6 @@ def _edges_by_tier(sigs, cfg) -> dict:
     the memory tier (pinned signatures, one group), the exchange tier
     with driver components (a lazy input skips the memory tier) and the
     label-propagation tier (``dataset_labels``)."""
-    from dedup.candidates import component_verified_edges, memory_verified_edges
-
     mem = memory_verified_edges(sigs, cfg)
     assert mem is not None
     assert mem.equals(collect_table(component_verified_edges(sigs, cfg)))
@@ -150,12 +148,9 @@ def test_component_verified_edges_match_classic_verify():
 
 
 def test_component_verified_edges_threshold_zero_keeps_all():
-    from dedup.candidates import component_candidate_pairs
-
     cfg = DedupConfig(min_size=1, verify_threshold=0.0)
     sigs = _sigs(cfg)
-    pairs, _ = component_candidate_pairs(sigs, cfg)
-    want = _pair_set(collect_table(pairs))
+    want = _classic_pairs(sigs, cfg)
     assert want
     for tier, edges in _edges_by_tier(sigs, cfg).items():
         assert _pair_set(edges) == want, tier
@@ -176,6 +171,6 @@ def test_component_pairs_empty_corpus():
     )
     ing = ingest(rd.from_arrow(t), cfg).materialize()
     sigs = sign(distinct_reps(ing).materialize(), cfg).materialize()
-    pairs, cand = component_candidate_pairs(sigs, cfg)
-    assert collect_table(pairs).num_rows == 0
-    assert cand is not None and len(cand) == 0
+    for tier, edges in _edges_by_tier(sigs, cfg).items():
+        assert edges.num_rows == 0, tier
+        assert edges.schema.names == ["a", "b", "sim"], tier

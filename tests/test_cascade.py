@@ -130,7 +130,8 @@ def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
 def test_near_dup_and_simhash_tiers_agree_on_degenerate_inputs(monkeypatch):
     """``near_dup_pipeline`` and ``simhash_clusters`` give the same typed
     clusters table in the memory tier and the exchange tier (and, for
-    the flagship, the ``distributed`` backend) on degenerate corpora."""
+    the flagship, the ``distributed`` backend; for SimHash, the exchange
+    tier with label-propagation components) on degenerate corpora."""
     import dedup.exchange as ex
     from dedup.exchange import collect_table
     from dedup.pipeline import near_dup_pipeline
@@ -159,6 +160,11 @@ def test_near_dup_and_simhash_tiers_agree_on_degenerate_inputs(monkeypatch):
                     ds, DedupConfig(min_size=1, cluster_backend="distributed")
                 ).clusters
                 got.append(collect_table(dist).sort_by("url"))
+            else:
+                monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+                lp = fn(ds, DedupConfig(min_size=1, broadcast_max_rows=0))
+                got.append(collect_table(lp).sort_by("url"))
+                monkeypatch.undo()
             for t in got:
                 assert t.column_names == cols, (name, op)
                 assert t.equals(got[0]), (name, op)

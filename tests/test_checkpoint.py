@@ -290,12 +290,3 @@ def test_fingerprint_stamps_polars_version():
     finally:
         polars.__version__ = orig
     assert DedupConfig().fingerprint() == a
-
-
-def test_fingerprint_ignores_exec_knobs():
-    from dedup.config import DedupConfig
-
-    a = DedupConfig()
-    b = DedupConfig(driver_verify_max=123)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != DedupConfig(shingle_k=7).fingerprint()

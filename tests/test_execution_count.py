@@ -21,12 +21,14 @@ from dedup.synth import make_pages
 
 @pytest.fixture
 def executions(monkeypatch):
+    """[count of executions, operator names of each execution...]."""
     n = [0]
     run = StreamingExecutor.execute
 
-    def counted(self, *a, **k):
+    def counted(self, dag, *a, **k):
         n[0] += 1
-        return run(self, *a, **k)
+        n.append([op.name for op in dag.post_order_iter()])
+        return run(self, dag, *a, **k)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return n
@@ -92,3 +94,26 @@ def test_incremental_executions(executions, tmp_path):
     update_index(idx, res.kept_sigs, cfg)
     assert len(res.report) > 0 and len(kept) > 0
     assert executions[0] - before <= 14, executions[0] - before
+
+
+def test_long_span_pairs_executions(executions):
+    """Ingest, reps and signature pins, the text attach and the
+    caller's collect: edges come from the engine's memory tier."""
+    from dedup.suffix import long_span_pairs
+
+    out = collect_table(long_span_pairs(_pages(), DedupConfig(min_size=1)))
+    assert len(out) > 0
+    assert executions[0] <= 5, executions[0]
+
+
+def test_distributed_backend_runs_no_schema_probe(executions):
+    """``bucketed_join`` reads both sides' schemas; a lazy side without
+    a recorded schema makes Ray run a ``limit=1`` pass of its whole
+    upstream plan (which then runs again for the data)."""
+    out = collect_table(near_dup_pipeline(
+        _pages(), DedupConfig(min_size=1, cluster_backend="distributed")
+    ).clusters)
+    assert len(out) > 0
+    probes = [ops for ops in executions[1:] if "limit=1" in ops]
+    assert not probes, probes
+    assert executions[0] <= 23, executions[0]

@@ -12,7 +12,7 @@ import ray.data as rd
 from dedup.config import DedupConfig
 from dedup.exchange import collect_table
 from dedup.lsh import candidate_pairs
-from dedup.verify import dedup_pairs
+from dedup.verify import _canon_unique_np
 
 
 def _pairs(bands_tbl, cfg):
@@ -21,8 +21,10 @@ def _pairs(bands_tbl, cfg):
     pairs = edges
     if len(chain):
         pairs = pairs.union(rd.from_arrow(chain))
-    t = collect_table(dedup_pairs(pairs))
-    return set(zip(t.column("a").to_pylist(), t.column("b").to_pylist()))
+    t = collect_table(pairs)
+    a, b = _canon_unique_np(t.column("a").to_numpy(zero_copy_only=False),
+                            t.column("b").to_numpy(zero_copy_only=False))
+    return set(zip(a.tolist(), b.tolist()))
 
 
 def test_small_bucket_emits_all_member_pairs():

@@ -108,6 +108,34 @@ def test_lsh_bucketed_finds_planted_dup():
     assert found >= 8  # near-identical vectors collide in ≥1 of 8 tables
 
 
+def test_lsh_bucketed_tiers_and_block_splits_agree():
+    """ANN pairs and sims do not depend on the engine's components tier
+    (driver vs label propagation, ``broadcast_max_rows=0``) or on how
+    the input is split into blocks. Over-cap buckets (cap 4, clusters of
+    6) take the star path, whose anchor is the true bucket min."""
+    import pandas as pd
+
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((240, 16))
+    for i in range(0, 120, 6):  # 20 clusters of 6 near-identical vectors
+        M[i + 1 : i + 6] = M[i] + 0.01 * rng.standard_normal((5, 16))
+    ids = (np.arange(240) * 7919 - 900_000).tolist()  # signed ids
+    ds = _emb_ds(M, ids)
+
+    def run(d, **kw):
+        t = lsh_bucketed_pairs(
+            d, threshold=0.95, n_planes=6, n_tables=4,
+            cfg=DedupConfig(allpairs_bucket_max=4, **kw),
+        )
+        return t.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+
+    base = run(ds)
+    assert len(base) and (base.a < base.b).all()
+    pd.testing.assert_frame_equal(base, run(ds, broadcast_max_rows=0))
+    for n_blocks in (1, 7):
+        pd.testing.assert_frame_equal(base, run(ds.repartition(n_blocks)))
+
+
 def test_jaccard_exact_small():
     t = pa.table(
         {
@@ -405,10 +433,10 @@ def test_simhash_combination_rows_share_key_within_ball():
 
 def test_simhash_distributed_verify_matches_driver(monkeypatch):
     """The three SimHash tiers give one cluster partition: the memory
-    tier (small pinned fingerprints), the exchange tier with the driver
-    Hamming check (no pin fits the guard) and the exchange tier with
-    the bucketed-join check (``driver_verify_max=0``) — in the default
-    mode and in exact-multiset mode."""
+    tier (small pinned fingerprints), the exchange tier with driver
+    components (no pin fits the guard) and the exchange tier with
+    label-propagation components (``broadcast_max_rows=0``) — in the
+    default mode and in exact-multiset mode."""
     import dedup.exchange as ex
 
     pages_tbl, _ = make_pages(
@@ -427,8 +455,8 @@ def test_simhash_distributed_verify_matches_driver(monkeypatch):
         parts = []
         for guard, cfg in (
             (None, DedupConfig()),  # memory tier
-            (-1, DedupConfig()),  # exchange tier, driver Hamming
-            (-1, DedupConfig(driver_verify_max=0)),  # bucketed-join Hamming
+            (-1, DedupConfig()),  # exchange tier, driver components
+            (-1, DedupConfig(broadcast_max_rows=0)),  # exchange tier, LP
         ):
             if guard is not None:
                 monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)

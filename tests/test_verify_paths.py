@@ -13,7 +13,7 @@ from dedup.lsh import band_rows, candidate_pairs
 from dedup.minhash import sign
 from dedup.pipeline import distinct_reps
 from dedup.synth import make_pages
-from dedup.verify import dedup_pairs, verify_pairs
+from dedup.verify import _canon_unique_np, dedup_pairs_sorted, verify_pairs
 from dedup.exchange import collect_table
 
 
@@ -63,29 +63,27 @@ def test_dedup_pairs_unique_and_canonical():
             "b": pa.array([3, 5, 5, 1, 9, 9], pa.int64()),
         }
     )
-    out = collect_table(dedup_pairs(rd.from_arrow(t))).to_pandas()
-    got = set(zip(out["a"], out["b"]))
+    # one block, so no block boundary can split a run: exactly unique
+    out = collect_table(dedup_pairs_sorted(rd.from_arrow(t))).to_pandas()
+    got = list(zip(out["a"], out["b"]))
     # (5,3)/(3,5)/(5,5 self) collapse to (3,5); -1 is uint64-max → (1,-1)
-    assert got == {(3, 5), (1, -1), (7, 9)}
+    assert len(got) == len(set(got))
+    assert set(got) == {(3, 5), (1, -1), (7, 9)}
 
 
 def test_dedup_pairs_sorted_equals_groupby_after_edge_dedup():
     """The sorted dedup path may keep one duplicate per block boundary;
-    its pair SET must equal the exact groupby path's, on a stream
+    its pair SET must equal the exact in-memory canon, on a stream
     engineered so every pair repeats across many blocks."""
-    from dedup.verify import dedup_pairs_sorted
-
     rng = np.random.default_rng(3)
     a = rng.integers(0, 500, 20000, dtype=np.int64)
     b = rng.integers(0, 500, 20000, dtype=np.int64)
     raw = pa.table({"a": pa.array(a), "b": pa.array(b)})
     ds = rd.from_arrow(raw).repartition(16)
 
-    def pairs(d) -> list:
-        t = collect_table(d)
-        return list(zip(t["a"].to_pylist(), t["b"].to_pylist()))
-
-    g = pairs(dedup_pairs(ds, n_buckets=8))
-    s = pairs(dedup_pairs_sorted(ds))
-    assert len(g) == len(set(g)) > 0  # the groupby path is exact
+    ea, eb = _canon_unique_np(a, b)
+    g = list(zip(ea.tolist(), eb.tolist()))
+    t = collect_table(dedup_pairs_sorted(ds))
+    s = list(zip(t["a"].to_pylist(), t["b"].to_pylist()))
+    assert len(g) == len(set(g)) > 0  # the reference is exact
     assert set(g) == set(s)
