@@ -368,6 +368,23 @@ def write_bloom_sidecar(
     return _write_sidecar_obj(index_dir, sb)
 
 
+def write_bloom_sidecar_keys(
+    index_dir: str, keys: np.ndarray, fpp: float = 0.01
+) -> str:
+    """``write_bloom_sidecar`` over keys already on the driver (the
+    index's memory tier): the same sizing (``fpp``, ``_auto_shards``)
+    and hashing, so the same sidecar bytes, with no read of the index
+    and no Ray Data execution."""
+    n = len(keys)
+    S = _auto_shards(n, fpp)
+    if S == 1:
+        bf: "BloomFilter | ShardedBloom" = BloomFilter.for_capacity(max(n, 1), fpp)
+    else:
+        bf = ShardedBloom.for_capacity(max(n, 1), fpp, S)
+    bf.add_many(keys)
+    return _write_sidecar_obj(index_dir, bf)
+
+
 def _write_sidecar_obj(
     index_dir: str, bf: "BloomFilter | ShardedBloom"
 ) -> str:

@@ -36,26 +36,45 @@ batch run scans only the index's NARROW tables — the 8 B/doc hash
 column for exact membership and the persisted 16 B/row ``bands`` table
 (precomputed at build/update time) for LSH probing; the 1 KB/doc
 signature rows are fetched only for band-bucket-sharing candidates,
-with the membership filter pushed into the parquet scan. Membership
-tests are size-guarded via ``semi_filter_auto``: broadcast while the
-batch's key set fits ``cfg.broadcast_max_rows``, bucketed hash join
-past it. Candidate pairs, verified edges and the drop report are
-bounded by duplicate-INVOLVED docs, not by the corpus or the batch.
+with the membership filter pushed into the parquet scan. Candidate
+pairs, verified edges and the drop report are bounded by
+duplicate-INVOLVED docs, not by the corpus or the batch. Two tiers,
+chosen once per call:
+
+- **memory tier**: the batch's ingest and signature pins fit
+  ``exchange.pinned_table`` and the index has a band table of at most
+  ``exchange._DRIVER_READ_MAX`` rows (manifest ``n_docs × bands``: the
+  rows the band probe scans). Every probe, fetch and filter after the
+  signing pass runs on the driver with pyarrow — the exact probe, the
+  band-hit read and the candidate-signature fetch are pushed-down
+  ``isin`` scans of the index files (``pyarrow.dataset``), and ``kept``
+  / ``kept_sigs`` return as in-memory Datasets that ``update_index``
+  writes with ``pyarrow.parquet``. No Ray Data execution runs past the
+  two pins. ``build_index`` takes the same tier when its signature pin
+  fits, and writes the index and its Bloom sidecar from memory.
+- **exchange tier** (larger batches or indexes, and legacy indexes
+  without ``bands/``): the same probes as Ray Data scans, membership
+  size-guarded via ``semi_filter_auto`` — broadcast while the key set
+  fits ``cfg.broadcast_max_rows``, bucketed hash join past it.
+
+Both tiers classify with one function (``_classify``), so they return
+the same drop report, kept pages and kept signatures.
 
 Verification is the flagship's: the batch signatures ∪ the signatures of
-the index docs that share a band key with the batch (one pin) go through
-``candidates.memory_verified_edges`` (one driver group while the pin
-fits ``exchange._DRIVER_READ_MAX``), else ``component_verified_edges``
-(star pass → components → per-group regen + verify), exact-mode
-set-hash equality included. Only edges with an endpoint among the batch
-hashes are kept. A bucket that holds a batch doc has exactly the members
-a per-band probe would give it — every index doc with that band key is
-in the pin — so those edges are the probe's, up to the sorted-block
-fragment cases the ``candidates`` docstring lists. The group also
-re-derives the index docs' other band keys: the old–old pairs that
-yields drop with the touches-batch filter, except when one endpoint is
-a batch page that exactly copies a corpus doc (its hash is a batch
-hash). Such an edge joins two corpus docs, so it changes no page's
+the index docs that share a band key with the batch go through
+``candidates._verify_group`` as one driver group (the memory tier, and
+the exchange tier while that union's pin fits
+``exchange._DRIVER_READ_MAX``: ``memory_verified_edges``), else
+``component_verified_edges`` (star pass → components → per-group
+regen + verify), exact-mode set-hash equality included. Only edges
+with an endpoint among the batch hashes are kept. A bucket that holds
+a batch doc has exactly the members a per-band probe would give it —
+every index doc with that band key is in the union — so those edges
+are the probe's, up to the sorted-block fragment cases the
+``candidates`` docstring lists. The group also re-derives the index
+docs' other band keys: the old–old pairs that yields drop with the
+touches-batch filter, except when one endpoint is a batch page that
+exactly copies a corpus doc (its hash is a batch hash). Such an edge joins two corpus docs, so it changes no page's
 classification; at most it names a different (verified) corpus member
 as a ``near_corpus`` row's ``matched``.
 """
@@ -64,31 +83,40 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data import Dataset
 
+from . import exchange
 from .candidates import (
     EDGES_SCHEMA,
     _sig_cols,
+    _verify_group,
     component_verified_edges,
     memory_verified_edges,
+    minhash_kernel,
 )
 from .config import DedupConfig
 from .exchange import (
     collect_table,
     dup_keys,
     member_probe,
+    pinned_table,
     semi_filter,
     semi_filter_auto,
 )
 from .hashing import xxh64_arrow
 from .ingest import ingest
-from .lsh import band_rows
-from .minhash import sign
+from .lsh import Bander, band_rows
+from .minhash import MinHashSigner, sign
 from .pipeline import distinct_reps
 from .unionfind import components_np
 
@@ -171,9 +199,56 @@ def _check_manifest(index_dir: str, cfg: DedupConfig) -> dict:
     return mf
 
 
+def _no_sigs(cfg: DedupConfig) -> pa.Table:
+    """The index's signature columns, typed, with no rows."""
+    return MinHashSigner(cfg)(
+        pa.table({"doc_hash": pa.array([], pa.int64()),
+                  "text": pa.array([], pa.string())})
+    )
+
+
+def _pinned_sigs(sigs: Dataset) -> pa.Table | None:
+    """The columns the index stores of a pinned ``sign`` output; ``None``
+    over ``exchange.pinned_table``'s guard."""
+    return pinned_table(sigs, ["doc_hash", "sig", "n_shingles", "set_hash"])
+
+
+def _append(rows: pa.Table | Dataset, d: str) -> None:
+    """Add ``rows`` to the index table in ``d`` as NEW parquet files. Ray
+    Data writes a Dataset; an in-memory table lands as one file, written
+    under a dot-prefixed name (which ``rd.read_parquet`` and
+    ``pyarrow.dataset`` both skip) and then renamed into place, so a
+    torn write is never read."""
+    if isinstance(rows, Dataset):
+        rows.write_parquet(d)
+        return
+    name = f"{uuid.uuid4().hex}.parquet"
+    tmp = os.path.join(d, "." + name)
+    pq.write_table(rows, tmp)
+    os.replace(tmp, os.path.join(d, name))
+
+
+def _isin(col: pa.ChunkedArray, keys: np.ndarray) -> pa.ChunkedArray:
+    return pc.is_in(col, value_set=pa.array(keys, col.type))
+
+
+def _read_isin(d: str, cols: list[str], key: str, keys: np.ndarray) -> pa.Table:
+    """``cols`` of the index rows in ``d`` whose ``key`` is in ``keys``:
+    a pushed-down ``isin`` scan of the files on the driver."""
+    return pads.dataset(d, format="parquet").to_table(
+        columns=cols, filter=pc.field(key).isin(pa.array(keys, pa.int64()))
+    )
+
+
 def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
     """Corpus pages → persisted signature index (the corpus is assumed
     already deduplicated; if not, run ``near_dup_corpus`` first).
+
+    Two executions while the signatures fit the memory tier (module
+    doc): the ingest pin (``dup_keys`` reads it with no execution) and
+    the signature pin; the sig and band files and the Bloom sidecar are then
+    written from memory. Past the guard Ray Data writes them. A corpus
+    with no rows still gives a typed, empty index.
 
     Writes to ``<index_dir>.tmp`` then renames, so a killed build never
     leaves a half-index behind a valid manifest."""
@@ -185,22 +260,30 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
         shutil.rmtree(tmp)
     os.makedirs(sigs_dir, exist_ok=True)
     os.makedirs(bands_dir, exist_ok=True)
-    ing = ingest(pages, cfg)
+    ing = ingest(pages, cfg).select_columns(["doc_hash", "text"]).materialize()
     reps = distinct_reps(
-        ing, n_buckets=cfg.join_buckets, max_broadcast_rows=cfg.broadcast_max_rows
+        ing, dups=dup_keys(ing, "doc_hash"), n_buckets=cfg.join_buckets,
+        max_broadcast_rows=cfg.broadcast_max_rows,
     )
-    sigs = sign(reps, cfg)
-    sigs.write_parquet(sigs_dir)
+    sigs = sign(reps, cfg).materialize()
+    n = sigs.count()
+    # zero rows always take the driver writes: Ray writes no file for an
+    # empty Dataset (whose pin is untyped), and the index readers need a
+    # typed one
+    st = _pinned_sigs(sigs) if n else _no_sigs(cfg)
+    from .bloom import write_bloom_sidecar, write_bloom_sidecar_keys
+
     # precomputed band table: each batch run probes (doc_hash, bkey) rows
     # (16 B/row) instead of re-reading + re-banding every 1 KB signature —
     # the per-batch index scan a 100-TB corpus actually pays
-    band_rows(
-        rd.read_parquet(sigs_dir, columns=["doc_hash", "sig", "n_shingles"]), cfg
-    ).write_parquet(bands_dir)
-    n = rd.read_parquet(sigs_dir, columns=["doc_hash"]).count()
-    from .bloom import write_bloom_sidecar
-
-    write_bloom_sidecar(tmp)
+    if st is None:
+        _append(sigs, sigs_dir)
+        _append(band_rows(sigs, cfg), bands_dir)
+        write_bloom_sidecar(tmp)
+    else:
+        _append(st, sigs_dir)
+        _append(Bander(cfg)(st), bands_dir)
+        write_bloom_sidecar_keys(tmp, st.column("doc_hash").to_numpy())
     _write_manifest(tmp, cfg, n)
     if os.path.exists(index_dir):
         import shutil
@@ -236,11 +319,8 @@ def incremental_dedup(
 ) -> IncrementalResult:
     """Dedup a new batch against the persisted index (see module doc)."""
     cfg = cfg or DedupConfig()
-    _check_manifest(index_dir, cfg)
+    mf = _check_manifest(index_dir, cfg)
     sigs_dir, bands_dir, _ = _paths(index_dir)
-    # column-pruned index scans: membership needs doc_hash only; banding
-    # needs (doc_hash, sig); verification adds set_hash in exact mode
-    old_docs = rd.read_parquet(sigs_dir, columns=["doc_hash"])
 
     ing = ingest(new_pages, cfg).materialize()
     if ing.count() == 0:
@@ -254,7 +334,7 @@ def incremental_dedup(
         return IncrementalResult(
             kept=rd.from_arrow(empty_kept),
             report=_REPORT_EMPTY,
-            kept_sigs=rd.from_arrow(empty_kept.select(["doc_hash"])),
+            kept_sigs=rd.from_arrow(_no_sigs(cfg)),
         )
     dups = dup_keys(ing, "doc_hash")  # batch-internal exact-dup hashes
     reps = distinct_reps(
@@ -262,6 +342,18 @@ def incremental_dedup(
         max_broadcast_rows=cfg.broadcast_max_rows,
     )
     new_sigs = sign(reps, cfg).materialize()
+    # the tier, decided once (module doc): both batch pins fit, and the
+    # band rows the driver would scan fit the same guard
+    pages = pinned_table(ing, ["url", "size_bytes", "doc_hash"])
+    sigs = _pinned_sigs(new_sigs)
+    if (
+        pages is not None and sigs is not None and os.path.isdir(bands_dir)
+        and mf["n_docs"] * cfg.bands <= exchange._DRIVER_READ_MAX
+    ):
+        return _dedup_on_driver(pages, sigs, dups, index_dir, cfg)
+    # column-pruned index scans: membership needs doc_hash only; banding
+    # needs (doc_hash, sig); verification adds set_hash in exact mode
+    old_docs = rd.read_parquet(sigs_dir, columns=["doc_hash"])
 
     # ---- 1. exact vs corpus: index hashes that occur in the batch.
     # The batch's hash set is batch-bounded; the membership filter over
@@ -271,26 +363,8 @@ def incremental_dedup(
         .column("doc_hash")
         .to_numpy(zero_copy_only=False)
     )
-    # Bloom prescreen (sidecar written at build/update time): keys the
-    # filter rejects are DEFINITELY not in the corpus — no false
-    # negatives — so the exact probe below only pays for the maybe-set
-    # (true dups + fpp·batch). Output is identical with or without the
-    # sidecar (tests/test_bloom.py::test_incremental_bloom_identical).
-    probe_hashes = new_hashes
-    from .bloom import has_bloom_sidecar
-
-    if has_bloom_sidecar(index_dir):
-        from .bloom import read_bloom_sidecar
-
-        _bf = read_bloom_sidecar(index_dir)
-        probe_hashes = new_hashes[
-            _bf.contains_many(new_hashes.view(np.uint64))
-        ]
+    probe_hashes = _maybe_in_corpus(index_dir, new_hashes)
     if len(probe_hashes) == 0:
-        # Bloom has no false negatives: an empty maybe-set proves no
-        # batch key is in the corpus, so the corpus-sized index scan is
-        # skipped entirely — the all-new-content case the sidecar
-        # exists for pays zero corpus I/O
         exact_old = np.empty(0, np.int64)
     else:
         exact_old = np.unique(
@@ -329,14 +403,16 @@ def incremental_dedup(
             rd.read_parquet(sigs_dir, columns=["doc_hash", "sig", "n_shingles"]), cfg
         )
     # the hit set is bounded by band-key collisions with the batch, not
-    # by the corpus
+    # by the corpus (typed collect: an empty index's band file yields no
+    # block)
     old_cand = np.unique(
         collect_table(
             semi_filter_auto(
                 bands_idx.select_columns(["doc_hash", "bkey"]), "bkey", nb_keys,
                 max_broadcast_rows=cfg.broadcast_max_rows,
                 n_buckets=cfg.join_buckets,
-            ).select_columns(["doc_hash"])
+            ).select_columns(["doc_hash"]),
+            schema=pa.schema([("doc_hash", pa.int64())]),
         )
         .column("doc_hash")
         .to_numpy(zero_copy_only=False)
@@ -346,8 +422,6 @@ def incremental_dedup(
     # non-candidate signature rows (the 1 KB/doc bulk of the index) never
     # enter the object store; past that, stream the scan through the
     # size-guarded membership filter.
-    import pyarrow.compute as pc
-
     if len(old_cand) <= (1 << 17):
         old_sig_rows = rd.read_parquet(
             sigs_dir,
@@ -368,15 +442,135 @@ def incremental_dedup(
         edges = collect_table(
             component_verified_edges(sigs_union, cfg), schema=EDGES_SCHEMA
         )
-    # old–old edges carry nothing: the corpus is already deduplicated;
-    # only edges touching the batch matter
-    nh_sorted = new_hashes
-    ea = edges.column("a").to_numpy(zero_copy_only=False)
-    eb = edges.column("b").to_numpy(zero_copy_only=False)
-    touches_new = member_probe(nh_sorted, None, ea) | member_probe(nh_sorted, None, eb)
-    ea, eb = ea[touches_new], eb[touches_new]
 
     # ---- 3. classify batch pages (driver work bounded by dup-involved)
+    report, drop_urls, kept_hash_drop = _classify(
+        edges, new_hashes, exact_old, dups,
+        lambda involved: collect_table(
+            semi_filter(ing.select_columns(["url", "doc_hash"]), "doc_hash", involved)
+        ),
+    )
+
+    # ---- 4. kept pages stream out via a hashed url anti-filter (the
+    # same dup-bounded pattern as near_dup_corpus — the batch itself
+    # never collects)
+    drop_url_hashes = (
+        np.sort(xxh64_arrow(pa.array(drop_urls.tolist(), pa.string())).view(np.int64))
+        if len(drop_urls)
+        else np.empty(0, np.int64)
+    )
+
+    def add_url_hash(batch: pa.Table) -> pa.Table:
+        u = batch.column("url")
+        if isinstance(u, pa.ChunkedArray):
+            u = u.combine_chunks()
+        h = xxh64_arrow(u)
+        return batch.append_column("url_hash", pa.array(h.view(np.int64), pa.int64()))
+
+    kept = (
+        semi_filter_auto(
+            ing.select_columns(["url", "size_bytes", "doc_hash"]).map_batches(
+                add_url_hash, batch_format="pyarrow"
+            ),
+            "url_hash",
+            drop_url_hashes,
+            keep=False,
+            max_broadcast_rows=cfg.broadcast_max_rows,
+            n_buckets=cfg.join_buckets,
+        )
+        .select_columns(["url", "size_bytes", "doc_hash"])
+    )
+
+    # kept signature rows = new sigs minus fully-dropped doc_hashes. The
+    # drop set is derived from the involved arrays already in hand
+    # (re-running the kept pipeline and collecting every kept hash would
+    # re-execute the batch ingest and put a BATCH-sized array on the
+    # driver; this stays bounded by duplicate-involved docs). A hash
+    # outside `involved` always has a kept page, so only involved hashes
+    # with zero kept rows drop.
+    kept_sigs = semi_filter(new_sigs, "doc_hash", kept_hash_drop, keep=False)
+    return IncrementalResult(kept=kept, report=report, kept_sigs=kept_sigs)
+
+
+def _maybe_in_corpus(index_dir: str, new_hashes: np.ndarray) -> np.ndarray:
+    """The batch hashes the exact probe must check. Bloom prescreen
+    (sidecar written at build/update time): keys the filter rejects are
+    DEFINITELY not in the corpus — no false negatives — so the probe
+    only pays for the maybe-set (true dups + fpp·batch). Output is
+    identical with or without the sidecar
+    (tests/test_bloom.py::test_incremental_bloom_identical). An empty
+    maybe-set proves no batch key is in the corpus, so callers skip the
+    corpus-sized scan entirely — the all-new-content case the sidecar
+    exists for pays zero corpus I/O."""
+    from .bloom import has_bloom_sidecar, read_bloom_sidecar
+
+    if not has_bloom_sidecar(index_dir):
+        return new_hashes
+    bf = read_bloom_sidecar(index_dir)
+    return new_hashes[bf.contains_many(new_hashes.view(np.uint64))]
+
+
+def _dedup_on_driver(
+    pages: pa.Table, sigs: pa.Table, dups: np.ndarray, index_dir: str,
+    cfg: DedupConfig,
+) -> IncrementalResult:
+    """The memory tier of ``incremental_dedup`` (module doc): the same
+    steps as the exchange tier over the batch pins ``pages`` (url,
+    size_bytes, doc_hash) and ``sigs``, with the index read by
+    pushed-down ``isin`` scans — no Ray Data execution."""
+    sigs_dir, bands_dir, _ = _paths(index_dir)
+    empty = np.empty(0, np.int64)
+    new_hashes = np.sort(sigs.column("doc_hash").to_numpy())
+    probe_hashes = _maybe_in_corpus(index_dir, new_hashes)
+    exact_old = np.unique(
+        _read_isin(sigs_dir, ["doc_hash"], "doc_hash", probe_hashes)
+        .column("doc_hash").to_numpy()
+    ) if len(probe_hashes) else empty
+    active = sigs.filter(pc.invert(_isin(sigs.column("doc_hash"), exact_old)))
+    nb_keys = np.unique(Bander(cfg)(active).column("bkey").to_numpy())
+    old_cand = np.unique(
+        _read_isin(bands_dir, ["doc_hash"], "bkey", nb_keys)
+        .column("doc_hash").to_numpy()
+    ) if len(nb_keys) else empty
+    sig_cols = _sig_cols(cfg)
+    union = pa.concat_tables(
+        [active.select(sig_cols), _read_isin(sigs_dir, sig_cols, "doc_hash", old_cand)],
+        promote_options="default",
+    ) if len(old_cand) else active.select(sig_cols)
+    edges = _verify_group(union, cfg, minhash_kernel(cfg))
+    report, drop_urls, kept_hash_drop = _classify(
+        edges, new_hashes, exact_old, dups,
+        lambda involved: pages.filter(_isin(pages.column("doc_hash"), involved)),
+    )
+    kept = pages.filter(pc.invert(_isin(pages.column("url"), drop_urls)))
+    kept_sigs = sigs.filter(pc.invert(_isin(sigs.column("doc_hash"), kept_hash_drop)))
+    return IncrementalResult(
+        kept=rd.from_arrow(kept), report=report, kept_sigs=rd.from_arrow(kept_sigs)
+    )
+
+
+def _classify(
+    edges: pa.Table,
+    new_hashes: np.ndarray,
+    exact_old: np.ndarray,
+    dups: np.ndarray,
+    pages_of: Callable[[np.ndarray], pa.Table],
+) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """Classify the batch pages, for both tiers: the drop report, the
+    dropped urls, and the batch hashes no kept page carries.
+
+    ``edges``: verified (a, b) edges over the batch ∪ candidate index
+    docs; ``new_hashes``: the sorted batch hashes; ``exact_old``: the
+    sorted batch hashes already in the index; ``dups``: batch-internal
+    exact-dup hashes; ``pages_of(hashes)``: the (url, doc_hash) batch
+    pages carrying those hashes. Driver work is bounded by
+    duplicate-involved docs."""
+    # old–old edges carry nothing: the corpus is already deduplicated;
+    # only edges touching the batch matter
+    ea = edges.column("a").to_numpy(zero_copy_only=False)
+    eb = edges.column("b").to_numpy(zero_copy_only=False)
+    touches_new = member_probe(new_hashes, None, ea) | member_probe(new_hashes, None, eb)
+    ea, eb = ea[touches_new], eb[touches_new]
     nodes, labels = components_np(ea, eb)
 
     # the shared sorted-membership kernel (exchange.member_probe without
@@ -389,11 +583,10 @@ def incremental_dedup(
     # exact-dropped hashes were removed from the new side before banding,
     # but the index's band rows still carry them — such an endpoint IS the
     # corpus, so its component must drop as near_corpus
-    node_new = _member(nh_sorted, nodes) & ~_member(exact_old, nodes)
+    node_new = _member(new_hashes, nodes) & ~_member(exact_old, nodes)
     # component → contains-an-old-doc?  (old endpoints are bounded by
     # verified-edge-involved docs)
     old_labels = np.unique(labels[~node_new])
-    in_old_comp = np.isin(labels, old_labels)
     # for near_corpus reporting: one old member per tainted component
     rep_old: dict[int, int] = {}
     for lab, nd in zip(labels[~node_new].tolist(), nodes[~node_new].tolist()):
@@ -406,9 +599,7 @@ def incremental_dedup(
     ) if (len(nodes) or len(dups) or len(exact_old)) else np.empty(0, np.int64)
 
     if len(involved):
-        inv_pages = collect_table(
-            semi_filter(ing.select_columns(["url", "doc_hash"]), "doc_hash", involved)
-        )
+        inv_pages = pages_of(involved)
         urls = np.asarray(inv_pages.column("url").to_pylist(), dtype=object)
         hashes = inv_pages.column("doc_hash").to_numpy(zero_copy_only=False)
         # group key: component label where the hash is a component member,
@@ -470,54 +661,26 @@ def incremental_dedup(
         report = _REPORT_EMPTY
         drop_urls = np.empty(0, object)
         kept_hash_drop = np.empty(0, np.int64)
-
-    # ---- 4. kept pages stream out via a hashed url anti-filter (the
-    # same dup-bounded pattern as near_dup_corpus — the batch itself
-    # never collects)
-    drop_url_hashes = (
-        np.sort(xxh64_arrow(pa.array(drop_urls.tolist(), pa.string())).view(np.int64))
-        if len(drop_urls)
-        else np.empty(0, np.int64)
-    )
-
-    def add_url_hash(batch: pa.Table) -> pa.Table:
-        u = batch.column("url")
-        if isinstance(u, pa.ChunkedArray):
-            u = u.combine_chunks()
-        h = xxh64_arrow(u)
-        return batch.append_column("url_hash", pa.array(h.view(np.int64), pa.int64()))
-
-    kept = (
-        semi_filter_auto(
-            ing.select_columns(["url", "size_bytes", "doc_hash"]).map_batches(
-                add_url_hash, batch_format="pyarrow"
-            ),
-            "url_hash",
-            drop_url_hashes,
-            keep=False,
-            max_broadcast_rows=cfg.broadcast_max_rows,
-            n_buckets=cfg.join_buckets,
-        )
-        .select_columns(["url", "size_bytes", "doc_hash"])
-    )
-
-    # kept signature rows = new sigs minus fully-dropped doc_hashes. The
-    # drop set is derived from the involved arrays already in hand
-    # (re-running the kept pipeline and collecting every kept hash would
-    # re-execute the batch ingest and put a BATCH-sized array on the
-    # driver; this stays bounded by duplicate-involved docs). A hash
-    # outside `involved` always has a kept page, so only involved hashes
-    # with zero kept rows drop.
-    kept_sigs = semi_filter(new_sigs, "doc_hash", kept_hash_drop, keep=False)
-    return IncrementalResult(kept=kept, report=report, kept_sigs=kept_sigs)
+    return report, drop_urls, kept_hash_drop
 
 
 def update_index(index_dir: str, kept_sigs: Dataset, cfg: DedupConfig) -> dict:
     """Append the kept batch docs' signature rows to the index (new
     parquet files only — existing parts are never rewritten) and bump
-    the manifest. Crash-ordering rule — every earlier artifact must be a
-    SUPERSET of what later artifacts imply, so a crash between any two
-    steps degrades toward extra work, never silent false negatives:
+    the manifest.
+
+    Tiers: a ``kept_sigs`` pin within ``exchange.pinned_table``'s guard
+    (what ``incremental_dedup``'s memory tier returns) is ORed into the
+    Bloom sidecar and written as one band file and one signature file
+    with ``pyarrow.parquet``, no Ray Data execution; each file is
+    written under a dot-prefixed name that both index readers skip,
+    then renamed into place. Otherwise Ray Data materializes and writes
+    it (the count then reads block metadata).
+
+    Crash-ordering rule — every earlier artifact must be a SUPERSET of
+    what later artifacts imply, so a crash between any two steps
+    degrades toward extra work, never silent false negatives
+    (tests/test_incremental.py::test_update_index_crash_ordering):
 
     1. Bloom sidecar first: extra bits for rows that never landed are a
        false "maybe" that just triggers the exact probe; the reverse
@@ -533,26 +696,28 @@ def update_index(index_dir: str, kept_sigs: Dataset, cfg: DedupConfig) -> dict:
        are genuine) and fixed by the next successful update."""
     mf = _check_manifest(index_dir, cfg)
     sigs_dir, bands_dir, _ = _paths(index_dir)
+    from .bloom import _write_sidecar_obj, has_bloom_sidecar, read_bloom_sidecar
+
+    st = _pinned_sigs(kept_sigs)
+    if st is None:
+        kept_sigs = kept_sigs.materialize()
     n_add = kept_sigs.count()
     if n_add:
-        kept_sigs = kept_sigs.materialize()
         # sidecar FIRST (superset-safe ordering, see docstring): OR the
         # new keys into the existing filter — no rebuild, bits only ever
         # set. Capacity overrun past the built-for n only raises fpp,
         # never breaks correctness (the exact probe confirms every maybe).
-        from .bloom import _write_sidecar_obj, has_bloom_sidecar, read_bloom_sidecar
-
         if has_bloom_sidecar(index_dir):
             bf = read_bloom_sidecar(index_dir)
-            for b in kept_sigs.select_columns(["doc_hash"]).iter_batches(
-                batch_size=1 << 18, batch_format="pyarrow"
-            ):
-                bf.add_many(
-                    b.column("doc_hash").to_numpy(zero_copy_only=False)
-                )
+            batches = [st] if st is not None else kept_sigs.select_columns(
+                ["doc_hash"]
+            ).iter_batches(batch_size=1 << 18, batch_format="pyarrow")
+            for b in batches:
+                bf.add_many(b.column("doc_hash").to_numpy())
             _write_sidecar_obj(index_dir, bf)
         if os.path.isdir(bands_dir):
-            band_rows(kept_sigs, cfg).write_parquet(bands_dir)
-        kept_sigs.write_parquet(sigs_dir)
+            bands = band_rows(kept_sigs, cfg) if st is None else Bander(cfg)(st)
+            _append(bands, bands_dir)
+        _append(kept_sigs if st is None else st, sigs_dir)
     _write_manifest(index_dir, cfg, mf["n_docs"] + n_add)
     return _manifest(index_dir)  # type: ignore[return-value]

@@ -11,8 +11,9 @@ collisions can overestimate a span with probability ~2^-64 per probe
 Runs as an actor-pool ``map_batches`` stage over pair batches carrying
 both texts (``SpanFinder``); ``long_span_pairs`` wires it to the
 verified MinHash edges of the candidate engine (``candidates.py``),
-attaching texts by broadcast from the (small) candidate-involved
-representative set.
+attaching texts from the (small) candidate-involved representative
+set: filtered on the driver from the reps pin while it fits
+``exchange.pinned_table``'s guard, by broadcast past it.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ def long_span_pairs(
         component_verified_edges,
         memory_verified_edges,
     )
-    from .exchange import collect_table, semi_filter
+    import pyarrow.compute as pc
+
+    from .exchange import collect_table, pinned_table, semi_filter
     from .ingest import ingest
     from .minhash import sign
     from .pipeline import distinct_reps
@@ -191,10 +194,16 @@ def long_span_pairs(
             )
         )
     )
-    sub = semi_filter(reps.select_columns(["doc_hash", "text"]), "doc_hash", ids)
-    st = pa.concat_tables(
-        list(sub.iter_batches(batch_size=1 << 18, batch_format="pyarrow"))
-    )
+    st = pinned_table(reps, ["doc_hash", "text"])  # no execution in the guard
+    if st is not None:
+        st = st.filter(
+            pc.is_in(st.column("doc_hash"), value_set=pa.array(ids, pa.int64()))
+        )
+    else:
+        sub = semi_filter(reps.select_columns(["doc_hash", "text"]), "doc_hash", ids)
+        st = pa.concat_tables(
+            list(sub.iter_batches(batch_size=1 << 18, batch_format="pyarrow"))
+        )
     skeys = st.column("doc_hash").to_numpy(zero_copy_only=False)
     o = np.argsort(skeys)
     skeys = skeys[o]

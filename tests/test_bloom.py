@@ -89,6 +89,42 @@ def test_sidecar_roundtrip(tmp_path):
     assert f.contains_many(keys).all()
 
 
+def test_sidecar_from_keys_matches_distributed_build(tmp_path, monkeypatch):
+    """``write_bloom_sidecar_keys`` (the index's memory tier) sizes and
+    fills the filter like ``write_bloom_sidecar``: the same sidecar
+    bytes, single-file and (with ~1 KiB shards forced) sharded."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    import dedup.bloom as bl
+
+    keys = _keys(11, 3_000)
+
+    def sidecar_bytes(d):
+        files = [os.path.join(d, "bloom.bin")] if os.path.exists(
+            os.path.join(d, "bloom.bin")
+        ) else sorted(
+            os.path.join(d, "bloom.d", f) for f in os.listdir(os.path.join(d, "bloom.d"))
+        )
+        return [open(f, "rb").read() for f in files]
+
+    for shards in (False, True):
+        if shards:
+            monkeypatch.setattr(bl, "_SHARD_TARGET_BYTES", 1 << 10)
+        dist, mem = tmp_path / f"dist{shards}", tmp_path / f"mem{shards}"
+        (dist / "sigs").mkdir(parents=True)
+        mem.mkdir()
+        pq.write_table(
+            pa.table({"doc_hash": pa.array(keys, pa.int64())}),
+            dist / "sigs" / "part0.parquet",
+        )
+        bl.write_bloom_sidecar(str(dist))
+        bl.write_bloom_sidecar_keys(str(mem), keys)
+        assert sidecar_bytes(str(dist)) == sidecar_bytes(str(mem)), shards
+        assert (len(sidecar_bytes(str(mem))) > 1) == shards
+
+
 def test_sidecar_rebuild_sharded_to_single_removes_stale_shards(tmp_path):
     """A single-file rebuild over an existing sharded sidecar must WIN:
     read_bloom_sidecar prefers bloom.d/, so leaving the stale sharded

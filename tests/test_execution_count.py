@@ -78,8 +78,9 @@ def test_pinned_dup_counts_run_nothing(executions):
 def test_incremental_executions(executions, tmp_path):
     """``incremental_dedup`` + ``update_index`` + the caller's collect of
     the kept pages, against an index of the other half of the corpus:
-    candidates are generated and verified on the driver (memory tier of
-    the component verifier), so no band sort or verify collect runs."""
+    the ingest and signature pins, then the collect. Every index probe,
+    the verification, the classification and the index writes run on
+    the driver (memory tier)."""
     from dedup.incremental import build_index, incremental_dedup, update_index
 
     table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=30)
@@ -93,17 +94,28 @@ def test_incremental_executions(executions, tmp_path):
     kept = collect_table(res.kept)
     update_index(idx, res.kept_sigs, cfg)
     assert len(res.report) > 0 and len(kept) > 0
-    assert executions[0] - before <= 14, executions[0] - before
+    assert executions[0] - before <= 3, executions[0] - before
+
+
+def test_build_index_executions(executions, tmp_path):
+    """The ingest pin (``dup_keys`` reads it) and the signature pin; the
+    sig and band files and the Bloom sidecar are written from memory."""
+    from dedup.incremental import build_index
+
+    mf = build_index(_pages(), DedupConfig(min_size=1), str(tmp_path / "index"))
+    assert mf["n_docs"] > 0
+    assert executions[0] <= 2, executions[0]
 
 
 def test_long_span_pairs_executions(executions):
-    """Ingest, reps and signature pins, the text attach and the
-    caller's collect: edges come from the engine's memory tier."""
+    """Ingest, reps and signature pins and the caller's collect: edges
+    come from the engine's memory tier and the texts attach from the
+    reps pin on the driver."""
     from dedup.suffix import long_span_pairs
 
     out = collect_table(long_span_pairs(_pages(), DedupConfig(min_size=1)))
     assert len(out) > 0
-    assert executions[0] <= 5, executions[0]
+    assert executions[0] <= 4, executions[0]
 
 
 def test_distributed_backend_runs_no_schema_probe(executions):

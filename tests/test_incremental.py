@@ -33,6 +33,38 @@ def _pages(rows):
     )
 
 
+def _index_state(idx):
+    """Everything an index holds, order-free: sorted sig rows, sorted
+    band rows, the Bloom sidecar bytes and the manifest."""
+    import json
+    import os
+
+    import pyarrow.dataset as pads
+
+    def rows(d):
+        t = pads.dataset(os.path.join(idx, d), format="parquet").to_table()
+        return sorted(
+            tuple(tuple(v) if isinstance(v, list) else v for v in r.values())
+            for r in t.to_pylist()
+        )
+
+    bloom = os.path.join(idx, "bloom.bin")
+    with open(bloom, "rb") as f, open(os.path.join(idx, "manifest.json")) as m:
+        return rows("sigs"), rows("bands"), f.read(), json.load(m)
+
+
+def _outcome(res):
+    """(sorted drop report rows, sorted kept (url, doc_hash), sorted kept
+    signature hashes) of an ``IncrementalResult``."""
+    rep = res.report
+    kept = collect_table(res.kept)
+    return (
+        sorted(zip(*(rep[c].to_pylist() for c in rep.column_names))),
+        sorted(zip(kept["url"].to_pylist(), kept["doc_hash"].to_pylist())),
+        sorted(collect_table(res.kept_sigs)["doc_hash"].to_pylist()),
+    )
+
+
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
     rng = np.random.default_rng(123)
@@ -243,11 +275,16 @@ def test_empty_batch_and_no_overlap_batch(scenario):
 
 
 def test_incremental_tiers_agree(scenario, tmp_path, monkeypatch):
-    """The memory tier of the component verifier and its exchange tier
-    (``_DRIVER_READ_MAX=-1``: star pass → components → groups) give the
-    same drop report, kept pages and kept signatures on a planted, an
-    empty, an all-new and an all-repeat batch, in default and exact-set
-    mode."""
+    """The index lifecycle's memory tier and its exchange tier
+    (``_DRIVER_READ_MAX=-1``: Ray Data probes, the component verifier's
+    star pass → components → groups, Ray Data writes) give the same
+    drop report, kept pages and kept signatures on a planted, an empty,
+    an all-new and an all-repeat batch, in default and exact-set mode —
+    and ``update_index`` then leaves the same index (sig rows, band
+    rows, Bloom sidecar bytes, manifest). ``build_index`` agrees across
+    tiers too, on the corpus and on an empty one."""
+    import shutil
+
     import dedup.exchange as ex
 
     corpus, batch, _, _ = scenario
@@ -260,39 +297,135 @@ def test_incremental_tiers_agree(scenario, tmp_path, monkeypatch):
         ("b://upper", texts["c://nb"].upper()),
         ("b://n1up", texts["b://n1"].upper()),
     ]
+    no_pages = _pages([("b://none", "x")]).filter(lambda r: False)
     batches = {
         "planted": _pages(planted),
-        "empty": _pages([("b://none", "x")]).filter(lambda r: False),
+        "empty": no_pages,
         "all_new": _pages(
             [(f"f://{i}", " ".join(_doc(rng, vocab, 200))) for i in range(5)]
         ),
         "all_repeat": _pages([(u.replace("c://", "r://"), t) for u, t in corpus]),
     }
 
-    def run(pages, idx, cfg):
-        res = incremental_dedup(pages, idx, cfg)
-        rep = res.report
-        kept = collect_table(res.kept)
-        return (
-            sorted(zip(*(rep[c].to_pylist() for c in rep.column_names))),
-            sorted(zip(kept["url"].to_pylist(), kept["doc_hash"].to_pylist())),
-            sorted(collect_table(res.kept_sigs)["doc_hash"].to_pylist()),
-        )
+    def tiers(fn):
+        memory = fn("memory")
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_DRIVER_READ_MAX", -1)
+            exchange = fn("exchange")
+        return memory, exchange
 
     for mode, cfg in (
         ("default", DedupConfig()),
         ("exact", DedupConfig(verify_threshold=1.0, exact_set_verify=True)),
     ):
         idx = str(tmp_path / mode)
-        build_index(_pages(corpus), cfg, idx)
+        for corpus_name, pages in (("empty", no_pages), ("corpus", _pages(corpus))):
+            def build(tier):
+                build_index(pages, cfg, f"{idx}_{tier}")
+                return _index_state(f"{idx}_{tier}")
+
+            memory, exchange = tiers(build)
+            assert memory == exchange, (mode, corpus_name)
+        shutil.copytree(f"{idx}_memory", idx)
+        assert _index_state(idx)[3]["n_docs"] == len(corpus)
         for name, pages in batches.items():
-            memory = run(pages, idx, cfg)
-            with monkeypatch.context() as m:
-                m.setattr(ex, "_DRIVER_READ_MAX", -1)
-                exchange = run(pages, idx, cfg)
+            def run(tier):
+                copy = str(tmp_path / f"{mode}_{name}_{tier}")
+                shutil.copytree(idx, copy)
+                res = incremental_dedup(pages, copy, cfg)
+                out = _outcome(res)
+                update_index(copy, res.kept_sigs, cfg)
+                return out, _index_state(copy)
+
+            memory, exchange = tiers(run)
             assert memory == exchange, (mode, name)
-            reasons = {r[2] for r in memory[0]}
+            reasons = {r[2] for r in memory[0][0]}
             if name == "planted":
                 assert {"near_corpus", "near_batch"} <= reasons, (mode, reasons)
             if name == "all_repeat":
-                assert reasons == {"exact_corpus"} and not memory[1], mode
+                assert reasons == {"exact_corpus"} and not memory[0][1], mode
+            n_kept = len(memory[0][2])
+            assert memory[1][3]["n_docs"] == len(corpus) + n_kept, (mode, name)
+
+
+@pytest.mark.parametrize("tier", ["memory", "exchange"])
+def test_empty_corpus_index(scenario, tmp_path, monkeypatch, tier):
+    """An empty corpus builds a valid index with ``n_docs = 0``: a batch
+    against it keeps every page, and ``update_index`` grows it so a
+    replay drops every page as ``exact_corpus``."""
+    import dedup.exchange as ex
+
+    _, _, _, cfg = scenario
+    if tier == "exchange":
+        monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    rng = np.random.default_rng(5)
+    vocab = _vocab(rng)
+    fresh = [(f"f://{i}", " ".join(_doc(rng, vocab, 200))) for i in range(5)]
+    idx = str(tmp_path / "index")
+    mf = build_index(_pages(fresh).filter(lambda r: False), cfg, idx)
+    assert mf["n_docs"] == 0
+    res = incremental_dedup(_pages(fresh), idx, cfg)
+    assert res.report.num_rows == 0
+    assert sorted(collect_table(res.kept)["url"].to_pylist()) == [u for u, _ in fresh]
+    assert update_index(idx, res.kept_sigs, cfg)["n_docs"] == len(fresh)
+    replay = incremental_dedup(_pages(fresh), idx, cfg)
+    assert collect_table(replay.kept).num_rows == 0
+    assert replay.report["reason"].to_pylist() == ["exact_corpus"] * len(fresh)
+
+
+@pytest.mark.parametrize("tier", ["memory", "exchange"])
+def test_update_index_crash_ordering(scenario, tmp_path, monkeypatch, tier):
+    """``update_index`` killed at its band write, then at its sig write:
+    the index still loads, re-running the batch and the update heals
+    it, and a follow-up batch of repeats drops exactly as after a clean
+    update (no false negative). Leftover dot-prefixed temp files in
+    ``sigs/`` and ``bands/`` are skipped by both index readers."""
+    import os
+    import shutil
+
+    import pyarrow.dataset as pads
+
+    import dedup.exchange as ex
+    import dedup.incremental as inc
+
+    corpus, batch, _, cfg = scenario
+    if tier == "exchange":
+        monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    base = str(tmp_path / "base")
+    build_index(_pages(corpus), cfg, base)
+    repeats = _pages([(u.replace("b://", "r://"), t) for u, t in batch])
+
+    def update(idx):
+        res = incremental_dedup(_pages(batch), idx, cfg)
+        return update_index(idx, res.kept_sigs, cfg)
+
+    clean = str(tmp_path / "clean")
+    shutil.copytree(base, clean)
+    n_clean = update(clean)["n_docs"]
+    want = _outcome(incremental_dedup(repeats, clean, cfg))
+    assert not want[1]  # every repeat drops against the clean index
+
+    real_append = inc._append
+    for table in ("bands", "sigs"):
+        idx = str(tmp_path / f"crash_{table}")
+        shutil.copytree(base, idx)
+
+        def crash(rows, d, table=table):
+            if os.path.basename(d) == table:
+                raise OSError(f"killed while writing {table}")
+            real_append(rows, d)
+
+        with monkeypatch.context() as m:
+            m.setattr(inc, "_append", crash)
+            with pytest.raises(OSError, match="killed"):
+                update(idx)
+        assert inc._check_manifest(idx, cfg)["n_docs"] == len(corpus)
+        assert update(idx)["n_docs"] == n_clean
+        assert _outcome(incremental_dedup(repeats, idx, cfg)) == want, table
+
+    for d in ("sigs", "bands"):
+        with open(os.path.join(clean, d, ".torn.parquet"), "wb") as f:
+            f.write(b"not parquet")
+        n_rows = pads.dataset(os.path.join(clean, d), format="parquet").count_rows()
+        assert rd.read_parquet(os.path.join(clean, d)).count() == n_rows
+    assert _outcome(incremental_dedup(repeats, clean, cfg)) == want
