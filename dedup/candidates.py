@@ -5,8 +5,8 @@ similarity measures — the columns a group carries, its bucket keys and
 its pair check. Three kernels use it:
 
 - MinHash (``minhash_kernel``): band keys (``lsh.Bander``), the
-  ``_compare_slice`` agreement check — the flagship, the
-  ``distributed`` backend, incremental dedup and ``suffix.py``;
+  ``_compare_slice`` agreement check — the flagship, incremental dedup
+  and ``suffix.py``;
 - SimHash (``simhash.simhash_kernel``): block-combination keys, Hamming
   distance;
 - cosine (``embed.lsh_bucketed_pairs``): random-hyperplane keys, exact
@@ -28,8 +28,7 @@ shuffles an order of magnitude smaller:
 2. **Components** — the star edges are deduplicated (tiny: ≈ one row
    per duplicate-involved doc) and labeled with connected components:
    driver ``components_np`` while the edge set fits the broadcast
-   guard, ``label_propagation`` (pure-Dataset) past it or when the
-   caller wants no driver transit.
+   guard, ``label_propagation`` (pure-Dataset) past it.
 3. **Group** — ONLY candidate docs' rows (star-graph nodes — bounded by
    duplicate-involved docs, not the corpus) are routed to hash groups
    by component. A bucket's members are star-connected by
@@ -147,7 +146,7 @@ def minhash_kernel(cfg: DedupConfig) -> Kernel:
 
 
 def _tagged_sig_rows(
-    sigs: Dataset, cfg: DedupConfig, dataset_labels: bool, kernel: Kernel
+    sigs: Dataset, cfg: DedupConfig, kernel: Kernel
 ) -> tuple[Dataset | None, int]:
     """Phases 1–3: star pass → component labels → candidate rows
     (``kernel.cols``) tagged with ``__comp``. → (tagged Dataset | None
@@ -180,7 +179,7 @@ def _tagged_sig_rows(
     # gate the driver tier on the ALREADY-known exact edge count before
     # collecting anything: an over-cap star set previously streamed
     # cap+1 rows (~80 MB) to the driver just to fail the size test
-    if not dataset_labels and n_stars <= cfg.broadcast_max_rows:
+    if n_stars <= cfg.broadcast_max_rows:
         st = collect_table(stars_d)
         from .unionfind import components_np
 
@@ -329,10 +328,7 @@ def _sig_cols(cfg: DedupConfig) -> list[str]:
 
 
 def component_verified_edges(
-    sigs: Dataset,
-    cfg: DedupConfig,
-    dataset_labels: bool = False,
-    kernel: Kernel | None = None,
+    sigs: Dataset, cfg: DedupConfig, kernel: Kernel | None = None
 ) -> Dataset:
     """Rows → verified edge Dataset (a, b, sim), generated and checked
     inside the component groups. ``kernel`` defaults to
@@ -340,10 +336,9 @@ def component_verified_edges(
 
     Tiers: the memory tier (``memory_verified_edges``) while ``sigs``
     is a pin within the guard; otherwise star pass → components (driver
-    or LP, see ``_tagged_sig_rows``) → per-group regen + verify.
-    ``dataset_labels`` always takes the Dataset tiers (edges never
-    transit the driver). Every tier runs ``_verify_group``, so they
-    return the same edges with the same sims.
+    or LP by star-edge count, see ``_tagged_sig_rows``) → per-group
+    regen + verify. Every tier runs ``_verify_group``, so they return
+    the same edges with the same sims.
 
     The MinHash check is the same ``_compare_slice`` agreement kernel
     as ``verify.verify_pairs`` (bit-identical sims), applied to the
@@ -351,11 +346,10 @@ def component_verified_edges(
     requires equal shingle-set hashes, so callers need no separate
     set-hash filter pass."""
     kernel = kernel or minhash_kernel(cfg)
-    if not dataset_labels:
-        edges = memory_verified_edges(sigs, cfg, kernel)
-        if edges is not None:
-            return rd.from_arrow(edges)
-    tagged, n_stars = _tagged_sig_rows(sigs, cfg, dataset_labels, kernel)
+    edges = memory_verified_edges(sigs, cfg, kernel)
+    if edges is not None:
+        return rd.from_arrow(edges)
+    tagged, n_stars = _tagged_sig_rows(sigs, cfg, kernel)
     if tagged is None:
         return rd.from_arrow(_EMPTY_EDGES)
     return ensure_schema(

@@ -6,7 +6,7 @@
         [--mode near|exact|simhash|corpus|index-build|index-dedup] \
         [--index index_dir] [--update-index] \
         [--min-size N] [--max-size N] [--lang en de] \
-        [--exclude-url REGEX] [--cluster-backend driver|distributed]
+        [--exclude-url REGEX]
 
 Owns the Ray session (guarded — in a driver-managed context init is a
 no-op). Output: partitioned parquet ``clusters/`` + ``summary.json``
@@ -38,8 +38,6 @@ def build_config(args) -> "DedupConfig":
         kw["lang_filter"] = tuple(args.lang)
     if args.exclude_url:
         kw["exclude_url_regex"] = args.exclude_url
-    if args.cluster_backend:
-        kw["cluster_backend"] = args.cluster_backend
     return DedupConfig(**kw)
 
 
@@ -106,9 +104,6 @@ def main(argv=None) -> int:
     ap.add_argument("--max-size", type=int, default=None)
     ap.add_argument("--lang", nargs="*", default=None)
     ap.add_argument("--exclude-url", default=None)
-    ap.add_argument(
-        "--cluster-backend", choices=["driver", "distributed"], default=None
-    )
     ap.add_argument("--num-cpus", type=int, default=None)
     ap.add_argument("--print-lineage", action="store_true")
     ap.add_argument(

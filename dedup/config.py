@@ -39,12 +39,6 @@ class DedupConfig:
     # candidate-pair verification: estimated Jaccard (fraction of agreeing
     # signature slots) must reach this; 0 disables verification.
     verify_threshold: float = 0.5
-    # DEPRECATED, UNUSED: bucket skew is governed by allpairs_bucket_max
-    # below (all member-member pairs up to the cap, linear star-edge
-    # fallback past it) — no code salts or caps on this knob. Kept only
-    # because v1 config fingerprints include the field; drop it at the
-    # next fingerprint-breaking schema bump.
-    max_bucket: int = 2000
     # buckets up to this size emit all member-member candidate pairs
     # (complete under per-pair verification); larger buckets fall back to
     # linear star edges (the hot-band skew guard, documented recall loss)
@@ -61,15 +55,11 @@ class DedupConfig:
     sign_partitions: int = 8
     signer_concurrency: int = 16  # MinHash actor pool max (autoscales from 1)
     join_buckets: int = 32  # partitions for bucketed hash joins
-    # connected components: "driver" = vectorized components on the
-    # driver (right up to ~10^8 edges); "distributed" = Ray Data
-    # min-label propagation (pure-Dataset path, edges never transit the
-    # driver)
-    cluster_backend: str = "driver"
     # dup-bounded broadcast guard: lookup/filter maps larger than this many
     # rows abandon the ray.put broadcast path for a bucketed hash join
     # (exchange.small_join / semi_filter_auto) — the regime where even the
-    # duplicate-involved key set outgrows one node's memory
+    # duplicate-involved key set outgrows one node's memory. Verified
+    # edges past it skip the driver components for label propagation.
     broadcast_max_rows: int = 5_000_000
 
     # --- token hashing inside MinHash/SimHash shingling. The TOKEN hash
@@ -96,8 +86,6 @@ class DedupConfig:
             raise ValueError("max_size < min_size")
         if self.shingle_k < 1:
             raise ValueError("shingle_k must be >= 1")
-        if self.cluster_backend not in ("driver", "distributed"):
-            raise ValueError(f"unknown cluster_backend {self.cluster_backend!r}")
         if self.token_hash not in ("polars-xxh64", "xxh64"):
             raise ValueError(f"unknown token_hash {self.token_hash!r}")
         if self.sig_bytes not in (4, 8):
@@ -117,8 +105,10 @@ class DedupConfig:
         (``driver_verify_max``, which picked a code path and never changed
         results) from the fingerprint, and the field itself is gone; the
         v3→v4 migration restamps manifests that match ``fingerprint_v3``.
+        Deleted v1 fields are hashed at their old defaults
+        (``_RETIRED_V1_FIELDS``), the only values a config can still have.
         """
-        d = asdict(self)
+        d = {**asdict(self), **_RETIRED_V1_FIELDS}
         # polars documents Series.hash() as NOT stable across polars
         # versions, and token hashes are baked into PERSISTED signatures
         # (checkpoints, the incremental index) — stamp the version so a
@@ -142,7 +132,7 @@ class DedupConfig:
         included at their historical default) — used by the v3→v4
         checkpoint migration to recognize manifests written before the
         exec-knob exclusion."""
-        d = asdict(self)
+        d = {**asdict(self), **_RETIRED_V1_FIELDS}
         for k, hist in _EXEC_KNOB_V3_DEFAULTS.items():
             d[k] = hist
         # ≤v3-era configs had no token_hash field at all (their signatures
@@ -197,6 +187,14 @@ _POST_V1_FIELDS = {
     # p3_signatures/p4_edges invalidation (and the incremental index's
     # explicit sig_bytes manifest stamp), not the fingerprint
 }
+
+# v1 fields since deleted, at the only value a config can still have:
+# both fingerprints hash them, so every stored manifest of a config that
+# can still be built keeps matching, and one stamped with another value
+# fails the gate like any other config change. ``cluster_backend`` picked
+# the components tier (now chosen by the verified-edge count);
+# ``max_bucket`` was never read.
+_RETIRED_V1_FIELDS = {"cluster_backend": "driver", "max_bucket": 2000}
 
 # Execution-only knobs at their ≤v3 default: ≤v3 fingerprints included
 # them, so fingerprint_v3 adds them back to recognize pre-bump manifests.

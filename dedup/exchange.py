@@ -44,20 +44,6 @@ def _batch_key_counts(key_col: str):
     return fn
 
 
-def key_counts(ds: Dataset, key_col: str, n_buckets: int = 64) -> Dataset:
-    """Global count per key value with per-batch pre-aggregation.
-
-    Shuffles only (key, partial_count) rows, merged with the bucketed
-    exchange (``bucketed_sum_by_key`` — not ``groupby(key)``, whose
-    full-width-key sort is ~16× slower on random int64 keys). Output
-    columns: key_col, cnt.
-    """
-    partial = ds.map_batches(_batch_key_counts(key_col), batch_format="pyarrow")
-    return bucketed_sum_by_key(
-        partial, key_col, "partial_cnt", cnt_name="cnt", n_buckets=n_buckets
-    )
-
-
 def bucketed_sum_by_key(
     partials: Dataset,
     key_col: str,

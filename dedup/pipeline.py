@@ -4,8 +4,10 @@
           ─distinct-content reps→ sign (MinHash actor pool) → P3 signatures
           ─candidates (band keys → components → per-group pairs checked
              by signature agreement, dedup/candidates.py)→ P4 edges
-          ─union-find→ cluster map (doc_hash → cluster_id)
-          ─broadcast assign + count→ clusters table
+          ─components (driver components_np while the edges fit the
+             broadcast guard, label propagation past it)→ cluster map
+          ─assign + count (broadcast lookups, or bucketed joins past the
+             guard)→ clusters table
 
 Stage boundaries are Dataset handoffs; ray-native restatement of the
 reference lifecycle (src/main.rs:122-166 — walk → short-checksum →
@@ -27,10 +29,16 @@ import ray.data as rd
 from ray.data import Dataset
 
 from .config import DedupConfig
-from .exchange import dup_key_counts, dup_keys, semi_filter
+from .exchange import (
+    BROADCAST_MAX_ROWS,
+    dup_key_counts,
+    dup_keys,
+    ensure_schema,
+    semi_filter,
+)
 from .ingest import ingest
 from .minhash import sign
-from .schema import CLUSTERS
+from .schema import CLUSTERS, INGESTED
 
 
 def _local_first_idx(dh: np.ndarray) -> np.ndarray:
@@ -111,6 +119,14 @@ def distinct_reps(
     narrow = ingested.select_columns(["doc_hash", "text"])
     if dups is None:
         dups = dup_keys(ingested, "doc_hash")
+    if len(dups) > (
+        BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
+    ):
+        # both membership filters take their join tier, which reads this
+        # side's schema: typed, it costs no ``limit=1`` upstream execution
+        narrow = ensure_schema(
+            narrow, pa.schema([INGESTED.field("doc_hash"), INGESTED.field("text")])
+        )
     uniq = semi_filter(
         narrow, "doc_hash", dups, keep=False,
         max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
@@ -253,9 +269,9 @@ def _sign_distinct_fused(
 @dataclass
 class NearDupResult:
     clusters: Dataset  # CLUSTERS schema (+ redundant not included here)
-    # verified pairs (a, b, sim): an Arrow table on the driver backend,
-    # a Dataset on the fully-distributed backend (edges never
-    # transit the driver there)
+    # verified pairs (a, b, sim): an Arrow table when the edge count fits
+    # cfg.broadcast_max_rows (driver components), otherwise a Dataset
+    # (label propagation; the edges never transit the driver)
     edges: "pa.Table | Dataset"
     # the pinned P1 ingest Dataset — downstream consumers (near_dup_corpus)
     # reuse it instead of re-running ingest. NARROW on the no-checkpoint
@@ -263,7 +279,6 @@ class NearDupResult:
     # text never enters the object store there); text-bearing only when
     # a checkpoint pins the resume copy.
     ingested: Dataset | None = None
-    n_candidate_docs: int = 0
 
     def n_edges(self) -> int:
         return self.edges.count() if isinstance(self.edges, Dataset) else len(self.edges)
@@ -274,8 +289,8 @@ def near_dup_pipeline(
 ) -> NearDupResult:
     """pages → clusters of exact+near duplicate urls.
 
-    ``checkpoint``: optional checkpoint.CheckpointManager — stages P1/P3
-    are written as partitioned parquet and reused on resume.
+    ``checkpoint``: optional checkpoint.CheckpointManager — stages
+    P1/P3/P4 are written as partitioned parquet and reused on resume.
     """
     cfg = cfg or DedupConfig()
     import os as _os
@@ -354,250 +369,156 @@ def near_dup_pipeline(
         # materialization happens inside (pass-B blocks + tiny rep sigs)
         sigs = _sign_distinct_fused(pages, dup_hashes, cfg)
     tick("sign")
-    _EDGES_EMPTY = pa.table(
-        {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-         "sim": pa.array([], pa.float64())}
-    )
     if checkpoint is not None and any(
         e.startswith("write:p3_signatures") for e in checkpoint.events
     ):
         # lineage: a rebuilt upstream invalidates derived stages
         checkpoint.invalidate("p4_edges")
 
-    if cfg.cluster_backend == "distributed":
-        return _near_dup_distributed(
-            ing, sigs, cfg, checkpoint, tick,
-            dup_hashes=dup_hashes, dup_cnts=dup_cnts,
-        )
-
-    if checkpoint is not None and checkpoint.is_valid("p4_edges"):
-        # resume: skip banding, sort and verification entirely
-        batches = list(
-            checkpoint.load_or_run("p4_edges", None).iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow"
-            )
-        )
-        edges = pa.concat_tables(batches) if batches else _EDGES_EMPTY
-        tick("p4_edges (checkpoint hit)")
-    else:
-        # component-localized generation + in-group verification: small
-        # pinned signatures verify as one group on the driver (memory
-        # tier, no execution); otherwise star pass → components → exact
-        # per-component regen + signature agreement (and exact-mode
-        # set-hash equality) checked where the pairs are born — no pair
-        # shuffle, no broadcast signature matrix (see
-        # dedup/candidates.py). The verified edge set is dup-bounded, so
-        # it is collected for the driver components below.
-        from .candidates import (
-            EDGES_SCHEMA,
-            component_verified_edges,
-            memory_verified_edges,
-        )
-        from .exchange import collect_table
-
-        edges = memory_verified_edges(sigs, cfg)
-        if edges is not None:
-            tick("candidates (memory tier: one group)")
-        else:
-            edges = collect_table(
-                component_verified_edges(sigs, cfg), schema=EDGES_SCHEMA
-            )
-            tick("candidates (exchange tier: stars+components+groups)")
-        if checkpoint is not None and len(edges):
-            checkpoint.load_or_run("p4_edges", lambda: rd.from_arrow(edges))
-        tick("verify")
-
-    # driver components over verified edges (vectorized; O(E log n))
-    from .unionfind import components_np
-
-    keys, cids = components_np(
-        edges.column("a").to_numpy(zero_copy_only=False),
-        edges.column("b").to_numpy(zero_copy_only=False),
+    # verified edges (dedup/candidates.py): small pinned signatures
+    # verify as one group on the driver (memory tier, no execution);
+    # otherwise star pass → components → per-component regen + signature
+    # agreement (and exact-mode set-hash equality), checked where the
+    # pairs are born. The edge set is dup-bounded, so while it fits the
+    # broadcast guard it is read onto the driver for ``components_np``;
+    # past the guard it stays a Dataset for label propagation and the
+    # exchange tier of the assignment.
+    from .candidates import (
+        EDGES_SCHEMA,
+        component_verified_edges,
+        memory_verified_edges,
     )
+    from .exchange import collect_table, pinned_table
 
-    clusters = assign_clusters(ing, keys, cids, dup_hashes, dup_cnts, cfg)
-    tick("components+finish")
+    if checkpoint is not None:
+        edges = checkpoint.load_or_run(
+            "p4_edges", lambda: component_verified_edges(sigs, cfg)
+        )
+        if edges.count() <= cfg.broadcast_max_rows:
+            edges = collect_table(edges, schema=EDGES_SCHEMA)
+    else:
+        edges = memory_verified_edges(sigs, cfg)
+        if edges is None:
+            pinned = component_verified_edges(sigs, cfg).materialize()
+            edges = pinned_table(
+                pinned, EDGES_SCHEMA.names, max_rows=cfg.broadcast_max_rows
+            )
+            edges = pinned if edges is None else edges
+    tick("candidates+verify")
+
+    if isinstance(edges, Dataset):
+        from .unionfind import label_propagation
+
+        comps = label_propagation(
+            edges.select_columns(["a", "b"]), n_buckets=cfg.join_buckets
+        )
+    else:
+        from .unionfind import components_np
+
+        comps = components_np(
+            edges.column("a").to_numpy(zero_copy_only=False),
+            edges.column("b").to_numpy(zero_copy_only=False),
+        )
+    clusters = assign_clusters(ing, comps, dup_hashes, dup_cnts, cfg)
+    tick("components+assign")
     return NearDupResult(clusters=clusters, edges=edges, ingested=ing)
 
 
 def assign_clusters(
     ing: Dataset,
-    keys: np.ndarray,
-    cids: np.ndarray,
+    comps: "tuple[np.ndarray, np.ndarray] | Dataset",
     dup_hashes: np.ndarray,
     dup_cnts: np.ndarray,
     cfg: DedupConfig,
     schema: pa.Schema = CLUSTERS,
 ) -> Dataset:
-    """Driver-side cluster assignment shared by the flagship and SimHash:
-    ingest rows + union-find components (``keys`` → ``cids``) + the url
-    count per duplicated hash (``dup_key_counts(ing, "doc_hash")``) →
-    clusters of ≥2 urls, with the columns of ``schema`` (CLUSTERS by
-    default; SimHash drops ``size_bytes``). Typed even when no row
-    survives (an empty or all-null corpus).
+    """Cluster assignment shared by the flagship and SimHash: ingest
+    rows + connected components + the url count per duplicated hash
+    (``dup_key_counts(ing, "doc_hash")``) → clusters of ≥2 urls, with
+    the columns of ``schema`` (CLUSTERS by default; SimHash drops
+    ``size_bytes``). Typed even when no row survives (an empty or
+    all-null corpus).
 
-    Cluster sizes come from state already in hand — no extra shuffle or
-    collect: url count per doc_hash is 1 unless the hash is in the
-    (small) duplicated set; a cluster's url count is the sum over its
-    member hashes. Exact-dup-only groups (hashes never touched by an
-    edge) are their own clusters. The assignment is two guarded
-    small-side joins (``exchange.small_join`` — a ray.put broadcast
-    lookup while the dup-bounded maps fit cfg.broadcast_max_rows, a
-    bucketed hash join past it)."""
-    from .exchange import ensure_schema, small_join
+    ``comps`` is ``(keys, cids)`` from ``components_np`` (driver tier)
+    or a ``(node, label)`` Dataset from ``label_propagation`` (exchange
+    tier). Either tier builds a node → (cluster_id, cluster_size) map
+    from state already in hand: url count per doc_hash is 1 unless the
+    hash is in the (small) duplicated set, a cluster's url count is the
+    sum over its member hashes, and exact-dup-only groups (hashes no
+    edge touches) are their own clusters. The map holds only clusters
+    of ≥2 urls, so ONE inner join of the corpus onto it is also the
+    singleton filter: a guarded small-side join
+    (``exchange.small_join`` — a ray.put broadcast lookup while the
+    dup-bounded map fits cfg.broadcast_max_rows, a bucketed hash join
+    past it) on the driver tier, a bucketed join on the exchange tier."""
+    from .exchange import bucketed_join, small_join
 
-    def _count_of(hashes: np.ndarray) -> np.ndarray:
-        if not len(dup_hashes):
-            return np.ones(len(hashes), np.int64)
-        idx = np.minimum(np.searchsorted(dup_hashes, hashes), len(dup_hashes) - 1)
-        hit = dup_hashes[idx] == hashes
-        out = np.ones(len(hashes), np.int64)
-        out[hit] = dup_cnts[idx[hit]]
-        return out
-
-    # components: size = Σ url-counts of member hashes — vectorized:
-    # factorize component ids, bincount the per-member url counts
-    if len(keys):
-        kc = _count_of(keys)
-        uniq_c, inv = np.unique(cids, return_inverse=True)
-        sums = np.bincount(inv, weights=kc.astype(np.float64)).astype(np.int64)
-        size_keys, size_vals = uniq_c, sums
-    else:
-        size_keys = np.empty(0, np.int64)
-        size_vals = np.empty(0, np.int64)
-    # exact-only dup hashes (not in any component) form identity clusters
-    if len(dup_hashes):
-        in_uf = (
-            np.zeros(len(dup_hashes), bool)
-            if not len(keys)
-            else np.isin(dup_hashes, keys)
-        )
-        size_keys = np.concatenate([size_keys, dup_hashes[~in_uf]])
-        size_vals = np.concatenate([size_vals, dup_cnts[~in_uf]])
-    so = np.argsort(size_keys)
-    size_keys, size_vals = size_keys[so], size_vals[so]
-
-    lab_t = pa.table(
-        {"__node": pa.array(keys, pa.int64()), "__cid": pa.array(cids, pa.int64())}
-    )
-    # size table holds only clusters of ≥2 urls, so the inner join below
-    # IS the n>1 filter (identity singletons have no row to match)
-    size_t = pa.table(
-        {"__sk": pa.array(size_keys, pa.int64()),
-         "cluster_size": pa.array(size_vals, pa.int64())}
-    )
     carried = [c for c in schema.names if c not in ("cluster_id", "cluster_size")]
-    withcid = small_join(
-        ing.select_columns(carried), "doc_hash", lab_t, "__node", how="left",
-        max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
+    narrow = ing.select_columns(carried)
+    # a join reads this side's schema: typed, that costs no ``limit=1``
+    # execution of the upstream plan (and an empty ingest pin has none).
+    # The broadcast lookup reads none, and the typing union would split
+    # its fused map.
+    typed = pa.schema([schema.field(c) for c in carried])
+    if isinstance(comps, Dataset):
+        joined = bucketed_join(
+            ensure_schema(narrow, typed),
+            _node_map_exchange(comps, dup_hashes, dup_cnts, cfg),
+            "doc_hash", "__node", n_buckets=cfg.join_buckets,
+        )
+    else:
+        node_map = _node_map(*comps, dup_hashes, dup_cnts)
+        if len(node_map) > cfg.broadcast_max_rows:  # small_join's join tier
+            narrow = ensure_schema(narrow, typed)
+        joined = small_join(
+            narrow, "doc_hash", node_map, "__node", how="inner",
+            max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
+        )
+    return ensure_schema(
+        joined.map_batches(lambda t: t.select(schema.names), batch_format="pyarrow"),
+        schema,
     )
 
-    def coalesce(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
 
-        cid = pc.coalesce(batch.column("__cid"), batch.column("doc_hash"))
-        return batch.drop_columns(["__cid"]).append_column(
-            "cluster_id", cid.cast(pa.int64()) if cid.type != pa.int64() else cid
-        )
+def _node_map(
+    keys: np.ndarray, cids: np.ndarray, dup_hashes: np.ndarray, dup_cnts: np.ndarray
+) -> pa.Table:
+    """The driver tier's (__node, cluster_id, cluster_size) map."""
+    # url count per member hash: 1 unless the hash is exact-duplicated
+    kc = np.ones(len(keys), np.int64)
+    if len(dup_hashes) and len(keys):
+        idx = np.minimum(np.searchsorted(dup_hashes, keys), len(dup_hashes) - 1)
+        hit = dup_hashes[idx] == keys
+        kc[hit] = dup_cnts[idx[hit]]
+    # size = Σ url-counts of member hashes: factorize component ids,
+    # bincount the per-member url counts
+    _, inv = np.unique(cids, return_inverse=True)
+    size = np.bincount(inv, weights=kc.astype(np.float64)).astype(np.int64)[inv]
+    only = ~np.isin(dup_hashes, keys)
+    return pa.table(
+        {"__node": pa.array(np.concatenate([keys, dup_hashes[only]]), pa.int64()),
+         "cluster_id": pa.array(np.concatenate([cids, dup_hashes[only]]), pa.int64()),
+         "cluster_size": pa.array(np.concatenate([size, dup_cnts[only]]), pa.int64())}
+    )
 
-    clusters = small_join(
-        withcid.map_batches(coalesce, batch_format="pyarrow"),
-        "cluster_id", size_t, "__sk", how="inner",
-        max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
-    ).map_batches(lambda t: t.select(schema.names), batch_format="pyarrow")
-    return ensure_schema(clusters, schema)
 
-
-def _near_dup_distributed(
-    ing: Dataset, sigs: Dataset, cfg: DedupConfig, checkpoint, tick,
-    dup_hashes: np.ndarray | None = None, dup_cnts: np.ndarray | None = None,
-) -> NearDupResult:
-    """Fully-Dataset flagship path (``cluster_backend="distributed"``):
-    verified edges, propagated labels and the cluster assignment never
-    transit the driver — every stage handoff is a Dataset, and ``p4_edges``
-    is a partitioned-parquet checkpoint when a CheckpointManager is given.
-    ≅ the reference's bounded-channel stage-to-stage handoff
-    (src/main.rs:143-166), restated at cluster scale.
-
-    Stages: ``component_verified_edges`` on its Dataset tiers (star pass →
-    label_propagation → per-component regen + verify, exact-mode set-hash
-    equality included) → label_propagation over the verified edges
-    (min-label to fixpoint) → cluster assignment by a bucketed LEFT join
-    of labels onto the corpus + a distributed url-count per cluster
-    (combiner groupby), singleton clusters dropped by the final inner
-    count join.
-    """
-    from .candidates import EDGES_SCHEMA, component_verified_edges
-    from .exchange import bucketed_join, ensure_schema, key_counts
-    from .unionfind import label_propagation
-
-    def build_edges() -> Dataset:
-        # pairs are generated, deduplicated and verified inside the
-        # component groups, and nothing transits the driver
-        return ensure_schema(
-            component_verified_edges(sigs, cfg, dataset_labels=True),
-            EDGES_SCHEMA,
-        )
-
-    if checkpoint is not None:
-        edges = checkpoint.load_or_run("p4_edges", build_edges)
-    else:
-        # pinned once: consumed by label_propagation AND returned to the
-        # caller; a lazy Dataset would re-run the verify joins per consumer
-        edges = build_edges().materialize()
-    tick("verify (dataset)")
-
-    if edges.count() == 0:
-        labels = rd.from_arrow(
-            pa.table({"node": pa.array([], pa.int64()),
-                      "label": pa.array([], pa.int64())})
-        )
-    else:
-        labels = label_propagation(
-            edges.map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
-            n_buckets=cfg.join_buckets,
-        )
-    tick("label_propagation")
-
-    # ---- fused assignment: the earlier design left-joined labels onto
-    # the corpus, materialized that corpus-wide table, ran a corpus-wide
-    # count over it and joined the counts back — two corpus joins + one
-    # corpus-wide exchange. Cluster sizes are computable from DUP-BOUNDED
-    # state alone (the driver assignment's trick, restated as Datasets):
-    # url-count(node) = 1 unless the hash is exact-duplicated, and
-    # cluster_size(label) = Σ url-counts of member nodes. So everything
-    # below except the single final join is bounded by duplicate-involved
-    # rows, and the corpus shuffles exactly once.
+def _node_map_exchange(
+    labels: Dataset, dup_hashes: np.ndarray, dup_cnts: np.ndarray, cfg: DedupConfig
+) -> Dataset:
+    """The exchange tier's (__node, cluster_id, cluster_size) map, from
+    (node, label) rows: every step is bounded by duplicate-involved
+    rows, so the corpus shuffles once, in the caller's join."""
     import pyarrow.compute as pc
 
-    from .exchange import bucketed_sum_by_key
+    from .exchange import bucketed_join, bucketed_sum_by_key
 
     labels = labels.materialize()  # dup-bounded; consumed three times
-    _MAP_SCHEMA = pa.schema(
-        [("__node", pa.int64()), ("cluster_id", pa.int64()),
-         ("cluster_size", pa.int64())]
-    )
-
-    # url count per exact-duplicated hash. The caller already collected
-    # these dup-bounded arrays in its narrow count pass (dup_key_counts,
-    # serving exact-dup collapse) — reuse them instead of paying a second
-    # full-corpus doc_hash combiner scan + bucketed exchange here.
-    # ensure_schema: a corpus with no exact dups leaves this empty, and
-    # empty groupby/filter outputs report schema None, breaking the joins.
-    if dup_hashes is not None and dup_cnts is not None:
-        urlcnt_dup = rd.from_arrow(
-            pa.table(
-                {"doc_hash": pa.array(dup_hashes, pa.int64()),
-                 "cnt": pa.array(dup_cnts, pa.int64())}
-            )
-        ).materialize()
-    else:
-        urlcnt_dup = ensure_schema(
-            key_counts(ing.select_columns(["doc_hash"]), "doc_hash").filter(
-                expr="cnt > 1"
-            ),
-            pa.schema([("doc_hash", pa.int64()), ("cnt", pa.int64())]),
-        ).materialize()  # dup-bounded; consumed twice
+    urlcnt_dup = rd.from_arrow(
+        pa.table(
+            {"doc_hash": pa.array(dup_hashes, pa.int64()),
+             "cnt": pa.array(dup_cnts, pa.int64())}
+        )
+    ).materialize()
 
     # member url-counts onto component labels (absent → 1)
     lab_cnt = bucketed_join(
@@ -652,23 +573,13 @@ def _near_dup_distributed(
         "doc_hash", "__n2", n_buckets=cfg.join_buckets, how="left",
     ).map_batches(only_missing, batch_format="pyarrow")
 
-    # the single corpus-wide exchange: inner join IS the singleton filter.
-    # Typed: an ingest pin with no blocks reports no schema to join by.
-    carried = ["url", "doc_hash", "size_bytes"]
-    narrow = ensure_schema(
-        ing.select_columns(carried),
-        pa.schema([CLUSTERS.field(c) for c in carried]),
+    return ensure_schema(
+        lab_sz.union(exact_only),
+        pa.schema(
+            [("__node", pa.int64()), ("cluster_id", pa.int64()),
+             ("cluster_size", pa.int64())]
+        ),
     )
-    clusters = ensure_schema(
-        bucketed_join(
-            narrow, ensure_schema(lab_sz.union(exact_only), _MAP_SCHEMA),
-            "doc_hash", "__node",
-            n_buckets=cfg.join_buckets,
-        ).map_batches(lambda t: t.select(CLUSTERS.names), batch_format="pyarrow"),
-        CLUSTERS,
-    )
-    tick("assign (dataset)")
-    return NearDupResult(clusters=clusters, edges=edges, ingested=ing)
 
 
 def near_dup_corpus(

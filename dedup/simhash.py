@@ -23,8 +23,8 @@ a pinned fingerprint set within ``exchange._DRIVER_READ_MAX`` rows onto
 the driver (only the ingest pin, the fingerprint pin and the caller's
 collect execute); a bigger pin takes its exchange tier (star pass →
 components → per-group regen + check). Both tiers run one code path
-and return the same edges. Clusters are assigned through
-``pipeline.assign_clusters``, the flagship's driver assignment.
+and return the same edges. Clusters are assigned through the driver
+tier of ``pipeline.assign_clusters``.
 
 Complementary to MinHash: SimHash Hamming distance tracks cosine/token
 -frequency similarity rather than set Jaccard; 8 bytes per doc instead
@@ -248,8 +248,8 @@ def simhash_clusters(
         edges = collect_table(
             component_verified_edges(fps, cfg, kernel=k), schema=EDGES_SCHEMA
         )
-    keys, cids = components_np(
+    comps = components_np(
         edges.column("a").to_numpy(zero_copy_only=False),
         edges.column("b").to_numpy(zero_copy_only=False),
     )
-    return assign_clusters(ing, keys, cids, dup_hashes, dup_cnts, cfg, _OUT)
+    return assign_clusters(ing, comps, dup_hashes, dup_cnts, cfg, _OUT)

@@ -1,25 +1,25 @@
 """Connected components over verified candidate pairs.
 
-Two implementations:
+Two implementations; callers pick by edge count (the verified edge set
+is dup-bounded — duplicate-involved docs only, not the corpus):
 
-- ``UnionFind`` + ``components_from_pairs``: driver-side streaming
-  union-find (path compression + union by size). Edges stream in batches
-  from the (already heavily pruned) verified-pair dataset; memory is
-  O(nodes touched by an edge) — duplicate-involved docs only, not the
-  corpus. Mirrors the reference's single-process final grouping
-  (process_matches.rs:395-401); right tool up to ~10^8 edges.
+- ``components_np``: vectorized driver components over edge arrays,
+  while the edges fit ``cfg.broadcast_max_rows``. Mirrors the
+  reference's single-process final grouping
+  (process_matches.rs:395-401). ``UnionFind`` (path compression + union
+  by size) is its reference implementation in the tests.
 
 - ``label_propagation``: distributed min-label propagation over Ray Data
-  for the 10^12-doc scale path. One fused bucketed exchange per round over
+  past that guard, the 10^12-doc scale path. One fused bucketed exchange per round over
   17-byte (k, v, kind) rows; static edges live in per-bucket plasma
   blocks (never re-shuffled), only label CHANGES are broadcast to
   neighbors (delta propagation), and pointer-jump request/reply rows keep
   the round count O(log component-diameter). Star-shaped LSH edge sets
   converge in a handful of rounds.
 
-Cluster ids are the uint64-min member of each component in both paths, so
-they agree bit-for-bit (asserted in tests/test_pipeline.py's
-test_unionfind_* and backend-parity tests).
+Cluster ids are the uint64-min member of each component in both, so they
+agree bit-for-bit (asserted in tests/test_pipeline.py: the components
+parity tests and the flagship's tier-parity test).
 """
 
 from __future__ import annotations
@@ -146,17 +146,6 @@ def components_np(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         lab = nxt
     nodes_by_rank = np.concatenate([nodes[k:], nodes[:k]])
     return nodes, nodes_by_rank[lab[rank]]
-
-
-def components_from_pairs(pairs: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Stream (a, b) edges into a driver union-find → (keys, cluster_ids)."""
-    uf = UnionFind()
-    for batch in pairs.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        for x, y in zip(a.tolist(), b.tolist()):
-            uf.union(x, y)
-    return uf.component_map()
 
 
 # row kinds flowing through the label-propagation exchanges

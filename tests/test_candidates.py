@@ -1,7 +1,9 @@
 """The candidate engine (dedup/candidates.py) must produce the per-band
 emission's pair set — exactly unique, canonical — on corpora without
 fragment/jumbo corner cases, and identical results across its memory,
-driver-components and Dataset-labels tiers."""
+driver-components and label-propagation tiers."""
+
+from dataclasses import replace
 
 import numpy as np
 import pyarrow as pa
@@ -65,13 +67,11 @@ def test_component_tiers_identical():
     lazy = sigs.map_batches(lambda t: t, batch_format="pyarrow")
     t1 = memory_verified_edges(sigs, cfg)
     t2 = collect_table(component_verified_edges(lazy, cfg))
-    t3 = collect_table(component_verified_edges(sigs, cfg, dataset_labels=True))
-    assert _pair_set(t1) == _pair_set(t2) == _pair_set(t3) and len(t1)
-    # guard fallback (broadcast_max_rows=0 forces the Dataset tier)
-    t4 = collect_table(component_verified_edges(
+    # no star-edge set fits broadcast_max_rows=0: label propagation
+    t3 = collect_table(component_verified_edges(
         lazy, DedupConfig(min_size=1, verify_threshold=0.0, broadcast_max_rows=0)
     ))
-    assert _pair_set(t4) == _pair_set(t1)
+    assert _pair_set(t1) == _pair_set(t2) == _pair_set(t3) and len(t1)
 
 
 def test_segment_pairs_allpairs_and_star():
@@ -95,7 +95,8 @@ def _edges_by_tier(sigs, cfg) -> dict:
     """Verified edges from each tier of ``component_verified_edges``:
     the memory tier (pinned signatures, one group), the exchange tier
     with driver components (a lazy input skips the memory tier) and the
-    label-propagation tier (``dataset_labels``)."""
+    label-propagation tier (no star-edge set fits
+    ``broadcast_max_rows=0``)."""
     mem = memory_verified_edges(sigs, cfg)
     assert mem is not None
     assert mem.equals(collect_table(component_verified_edges(sigs, cfg)))
@@ -105,7 +106,7 @@ def _edges_by_tier(sigs, cfg) -> dict:
         "memory": mem,
         "driver-components": collect_table(component_verified_edges(lazy, cfg)),
         "label-propagation": collect_table(
-            component_verified_edges(sigs, cfg, dataset_labels=True)
+            component_verified_edges(lazy, replace(cfg, broadcast_max_rows=0))
         ),
     }
 

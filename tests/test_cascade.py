@@ -129,16 +129,15 @@ def test_cascade_tiers_agree_on_degenerate_inputs(monkeypatch):
 
 def test_near_dup_and_simhash_tiers_agree_on_degenerate_inputs(monkeypatch):
     """``near_dup_pipeline`` and ``simhash_clusters`` give the same typed
-    clusters table in the memory tier and the exchange tier (and, for
-    the flagship, the ``distributed`` backend; for SimHash, the exchange
-    tier with label-propagation components) on degenerate corpora."""
+    clusters table in the memory tier, the exchange tier, and the
+    exchange tier with label-propagation components (no edge set fits
+    ``broadcast_max_rows=0``) on degenerate corpora."""
     import dedup.exchange as ex
     from dedup.exchange import collect_table
     from dedup.pipeline import near_dup_pipeline
     from dedup.schema import CLUSTERS
     from dedup.simhash import simhash_clusters
 
-    cfg = DedupConfig(min_size=1)
     runs = {
         "near_dup": (
             lambda ds, c: near_dup_pipeline(ds, c).clusters, CLUSTERS.names,
@@ -147,23 +146,18 @@ def test_near_dup_and_simhash_tiers_agree_on_degenerate_inputs(monkeypatch):
             simhash_clusters, [n for n in CLUSTERS.names if n != "size_bytes"],
         ),
     }
+    # (exchange._DRIVER_READ_MAX or None to keep it, config overrides);
+    # a guard of -1: no pin fits → exchange tier
+    tiers = [(None, {}), (-1, {}), (-1, {"broadcast_max_rows": 0})]
     for name, ds in _degenerate_corpora().items():
         for op, (fn, cols) in runs.items():
             got = []
-            for guard in (None, -1):  # -1: no pin fits → exchange tier
+            for guard, kw in tiers:
                 if guard is not None:
                     monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
-                got.append(collect_table(fn(ds, cfg)).sort_by("url"))
-                monkeypatch.undo()
-            if op == "near_dup":
-                dist = near_dup_pipeline(
-                    ds, DedupConfig(min_size=1, cluster_backend="distributed")
-                ).clusters
-                got.append(collect_table(dist).sort_by("url"))
-            else:
-                monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
-                lp = fn(ds, DedupConfig(min_size=1, broadcast_max_rows=0))
-                got.append(collect_table(lp).sort_by("url"))
+                got.append(
+                    collect_table(fn(ds, DedupConfig(min_size=1, **kw))).sort_by("url")
+                )
                 monkeypatch.undo()
             for t in got:
                 assert t.column_names == cols, (name, op)

@@ -74,11 +74,16 @@ def test_partial_checkpoint_resumes_later_stage_only(tmp_path):
     assert second == first
 
 
-def test_distributed_backend_checkpoints_edges_as_parquet(tmp_path):
-    """The fully-Dataset backend writes p4_edges as a parquet checkpoint
-    (never a driver Arrow table) and resumes from it."""
+def test_distributed_backend_checkpoints_edges_as_parquet(tmp_path, monkeypatch):
+    """Edges past the broadcast guard (``broadcast_max_rows=0``) take
+    the distributed tier — label propagation and the Dataset assignment;
+    ``p4_edges`` is a parquet checkpoint there too, and a resume reads
+    it back as a Dataset (never collected onto the driver)."""
+    import dedup.exchange as ex
+
     table, _ = make_pages(n_exact_groups=4, n_near_groups=4, n_singletons=20)
-    cfg = DedupConfig(min_size=1, cluster_backend="distributed")
+    cfg = DedupConfig(min_size=1, broadcast_max_rows=0)
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
     first, ck1 = _run(tmp_path, cfg, table)
     assert _kinds(ck1.events) == [
         ("write", "p1_ingested"),
@@ -87,18 +92,19 @@ def test_distributed_backend_checkpoints_edges_as_parquet(tmp_path):
     ]
     edir = os.path.join(str(tmp_path), "p4_edges", "data")
     assert any(f.endswith(".parquet") for f in os.listdir(edir))
-    second, ck2 = _run(tmp_path, cfg, table)
+    ck2 = CheckpointManager(str(tmp_path), cfg)
+    res = near_dup_pipeline(rd.from_arrow(table), cfg, checkpoint=ck2)
     assert _kinds(ck2.events) == [
         ("hit", "p1_ingested"),
         ("hit", "p3_signatures"),
         ("hit", "p4_edges"),
     ]
-    assert second == first
-    # and the partition equals the driver backend's (no-checkpoint run)
+    assert isinstance(res.edges, rd.Dataset) and res.n_edges() > 0
+    assert cluster_partition(res.clusters) == first
+    monkeypatch.undo()
+    # and the partition equals the memory tier's (no-checkpoint run)
     drv = cluster_partition(
-        near_dup_pipeline(
-            rd.from_arrow(table), DedupConfig(min_size=1, cluster_backend="driver")
-        ).clusters
+        near_dup_pipeline(rd.from_arrow(table), DedupConfig(min_size=1)).clusters
     )
     assert first == drv
 
@@ -190,8 +196,10 @@ def test_schema_migration_in_place(tmp_path):
     v1_values = dict(_asdict(cfg))
     # a genuine v1 build ran with the execution knobs at their v1-era
     # defaults (driver_verify_max=20M), not today's — and had NO
-    # token_hash key at all (the field postdates v3)
+    # token_hash key at all (the field postdates v3). It also wrote the
+    # v1 fields deleted since, at the only values a config can have now.
     v1_values.update(_EXEC_KNOB_V3_DEFAULTS)
+    v1_values.update({"cluster_backend": "driver", "max_bucket": 2000})
     del v1_values["token_hash"]
     v1_fields = {
         k: v for k, v in v1_values.items() if k not in _POST_V1_FIELDS
@@ -290,3 +298,24 @@ def test_fingerprint_stamps_polars_version():
     finally:
         polars.__version__ = orig
     assert DedupConfig().fingerprint() == a
+
+
+def test_fingerprints_pinned():
+    """Stored manifests hold these values: a config that can still be
+    built must keep hashing to them (token_hash="xxh64" keeps the
+    polars version out of the hash)."""
+    cfg = DedupConfig(token_hash="xxh64")
+    assert cfg.fingerprint() == "2cf937245721941b"
+    assert cfg.fingerprint_v3() == "7f0485e061f4a4a6"
+    cfg = DedupConfig(token_hash="xxh64", exact_set_verify=True, sig_bytes=8)
+    assert cfg.fingerprint() == "45b3c996676098f8"
+    assert cfg.fingerprint_v3() == "29e7ae88fbed1313"
+
+
+@pytest.mark.parametrize(
+    "field", ["cluster_backend", "max_bucket", "driver_verify_max"]
+)
+def test_deleted_config_fields_raise(field):
+    """Deleted fields fail loudly instead of being silently ignored."""
+    with pytest.raises(TypeError):
+        DedupConfig(**{field: 1})

@@ -75,16 +75,35 @@ def test_cli_exact_mode(pages_file, tmp_path, capsys):
         assert json.load(f) == s
 
 
-def test_cli_distributed_backend_matches_driver(pages_file, tmp_path, capsys):
+def test_cli_distributed_backend_matches_driver(
+    pages_file, tmp_path, capsys, monkeypatch
+):
+    """The near mode's summary is the same when the edges take the
+    distributed tier: no pin fits the driver (``_DRIVER_READ_MAX=-1``)
+    and no edge set fits the broadcast guard (``broadcast_max_rows=0``),
+    so components run as label propagation and the assignment as
+    bucketed joins."""
+    import dataclasses
+
+    import dedup.cli as cli
+    import dedup.exchange as ex
+
     outs = {}
-    for backend in ("driver", "distributed"):
-        out = str(tmp_path / backend)
-        rc = main(["--input", pages_file, "--output", out,
-                   "--cluster-backend", backend])
+    for tier in ("driver", "distributed"):
+        if tier == "distributed":
+            build = cli.build_config
+            monkeypatch.setattr(
+                cli, "build_config",
+                lambda a: dataclasses.replace(build(a), broadcast_max_rows=0),
+            )
+            monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+        out = str(tmp_path / tier)
+        rc = main(["--input", pages_file, "--output", out])
         assert rc == 0
-        outs[backend] = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        outs[tier] = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert outs["driver"]["rows_in_clusters"] == outs["distributed"]["rows_in_clusters"]
     assert outs["driver"]["n_clusters"] == outs["distributed"]["n_clusters"]
+    assert outs["driver"]["verified_edges"] == outs["distributed"]["verified_edges"] > 0
 
 
 def test_cli_corpus_mode(pages_file, tmp_path, capsys):

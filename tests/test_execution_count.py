@@ -118,14 +118,21 @@ def test_long_span_pairs_executions(executions):
     assert executions[0] <= 4, executions[0]
 
 
-def test_distributed_backend_runs_no_schema_probe(executions):
-    """``bucketed_join`` reads both sides' schemas; a lazy side without
-    a recorded schema makes Ray run a ``limit=1`` pass of its whole
-    upstream plan (which then runs again for the data)."""
-    out = collect_table(near_dup_pipeline(
-        _pages(), DedupConfig(min_size=1, cluster_backend="distributed")
-    ).clusters)
-    assert len(out) > 0
+def test_forced_exchange_tier_runs_no_schema_probe(executions, monkeypatch):
+    """The flagship with no pin on the driver (``_DRIVER_READ_MAX=-1``)
+    and no map within the broadcast guard (``broadcast_max_rows=0``):
+    every join runs, and the edges take label propagation and the
+    Dataset assignment. ``bucketed_join`` reads both sides' schemas; a
+    lazy side without a recorded schema makes Ray run a ``limit=1`` pass
+    of its whole upstream plan (which then runs again for the data)."""
+    import dedup.exchange as ex
+
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    res = near_dup_pipeline(
+        _pages(), DedupConfig(min_size=1, broadcast_max_rows=0)
+    )
+    out = collect_table(res.clusters)
+    assert len(out) > 0 and isinstance(res.edges, rd.Dataset)
     probes = [ops for ops in executions[1:] if "limit=1" in ops]
     assert not probes, probes
     assert executions[0] <= 23, executions[0]

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from dedup.config import DedupConfig
 from dedup.pipeline import cluster_partition, near_dup_pipeline
 from dedup.synth import make_pages
-from dedup.unionfind import UnionFind, components_from_pairs, label_propagation
+from dedup.unionfind import UnionFind, label_propagation
 
 
 def _url_cluster_map(clusters_ds):
@@ -106,7 +107,10 @@ def test_label_propagation_matches_driver_unionfind():
          "b": pa.array([b for _, b in edges], pa.int64())}
     )
     ds = rd.from_arrow(et)
-    keys, cids = components_from_pairs(ds)
+    uf = UnionFind()
+    for a, b in edges:
+        uf.union(a, b)
+    keys, cids = uf.component_map()
     want = dict(zip(keys.tolist(), cids.tolist()))
     lp = label_propagation(ds, n_buckets=4).to_pandas()
     got = dict(zip(lp["node"], lp["label"]))
@@ -131,67 +135,100 @@ def test_components_np_matches_unionfind():
     assert m1 == m2
 
 
-def test_pipeline_distributed_backend_matches_driver():
-    """The fully-Dataset path (component verifier on its Dataset tiers →
-    label_propagation → bucketed-join assignment) must produce the
-    bit-identical cluster table — ids, sizes and membership — while its
-    edges handoff stays a Dataset (never a driver Arrow table)."""
+# tier → (config overrides, exchange._DRIVER_READ_MAX or None to keep it)
+_TIERS = {
+    "memory": ({}, None),
+    # no pin fits the driver: the engine's exchange tier; the verified
+    # edges still fit the broadcast guard, so components run on the driver
+    "exchange-driver": ({}, -1),
+    # and no edge set fits the guard: label propagation + the Dataset
+    # assignment, the edges never collected onto the driver
+    "label-propagation": ({"broadcast_max_rows": 0}, -1),
+}
+
+_NO_EDGES = pa.table(
+    {
+        "url": pa.array(["u1", "u2", "u3"]),
+        "warc_ts": pa.array([0, 1, 2], pa.timestamp("us")),
+        "html": pa.array([b""] * 3, pa.binary()),
+        "text": pa.array(["tiny doc", "tiny doc", "other thing"]),
+        "lang": pa.array(["en"] * 3),
+    }
+)
+
+
+def _assert_tier_agrees(tier, monkeypatch, table, **kw):
+    """Run ``tier`` on ``table`` and check it gives the bit-identical
+    cluster table (ids, sizes and membership) and edge set as the memory
+    tier; returns the tier's result."""
+    import dedup.exchange as ex
     from ray.data import Dataset
 
-    table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)
+    def edge_set(edges) -> set:
+        t = edges.to_pandas()
+        return set(zip(t["a"], t["b"]))
+
+    overrides, guard = _TIERS[tier]
     ds = rd.from_arrow(table)
-    r_driver = near_dup_pipeline(ds, DedupConfig(min_size=1, cluster_backend="driver"))
-    r_dist = near_dup_pipeline(
-        ds, DedupConfig(min_size=1, cluster_backend="distributed")
-    )
-    assert isinstance(r_dist.edges, Dataset)
-    d1 = r_driver.clusters.to_pandas().sort_values("url").reset_index(drop=True)
+    want = near_dup_pipeline(ds, DedupConfig(min_size=1, **kw))
+    if guard is not None:
+        monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
+    got = near_dup_pipeline(ds, DedupConfig(min_size=1, **kw, **overrides))
+    d1 = want.clusters.to_pandas().sort_values("url").reset_index(drop=True)
     d2 = (
-        r_dist.clusters.to_pandas()[d1.columns.tolist()]
+        got.clusters.to_pandas()[d1.columns.tolist()]
         .sort_values("url")
         .reset_index(drop=True)
     )
-    assert d1.equals(d2)
-    # edge sets agree too (a, b sorted)
-    e1 = {(a, b) for a, b in zip(r_driver.edges["a"].to_pylist(),
-                                 r_driver.edges["b"].to_pylist())}
-    ed = r_dist.edges.to_pandas()
-    e2 = set(zip(ed["a"], ed["b"]))
-    assert e1 == e2
+    monkeypatch.undo()
+    assert d1.equals(d2), kw
+    assert edge_set(want.edges) == edge_set(got.edges), kw
+    lp = tier == "label-propagation" and got.n_edges() > 0
+    assert isinstance(got.edges, Dataset) == lp, kw
+    return got
 
 
-def test_pipeline_distributed_backend_exact_mode_and_empty_edges():
-    """Distributed path under exact-set verification (join-based set-hash
-    filter), and with a corpus that yields no LSH edges at all (exact-dup
-    identity clusters must still come out)."""
-    table, _ = make_pages(n_exact_groups=3, n_near_groups=3, n_singletons=10)
-    ds = rd.from_arrow(table)
-    for kw in ({"verify_threshold": 1.0, "exact_set_verify": True},):
-        p1 = cluster_partition(
-            near_dup_pipeline(
-                ds, DedupConfig(min_size=1, cluster_backend="driver", **kw)
-            ).clusters
-        )
-        p2 = cluster_partition(
-            near_dup_pipeline(
-                ds, DedupConfig(min_size=1, cluster_backend="distributed", **kw)
-            ).clusters
-        )
-        assert p1 == p2
-
-    t = pa.table(
-        {
-            "url": pa.array(["u1", "u2", "u3"]),
-            "warc_ts": pa.array([0, 1, 2], pa.timestamp("us")),
-            "html": pa.array([b""] * 3, pa.binary()),
-            "text": pa.array(["tiny doc", "tiny doc", "other thing"]),
-            "lang": pa.array(["en"] * 3),
-        }
+@pytest.mark.parametrize("tier", ["memory", "exchange-driver"])
+def test_pipeline_tiers_agree(tier, monkeypatch):
+    """The driver-side components tiers agree with the memory tier, in
+    default and exact-set mode, and on a corpus with no LSH edge at all
+    (exact-dup identity clusters must still come out)."""
+    _assert_tier_agrees(
+        tier, monkeypatch,
+        make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)[0],
     )
-    res = near_dup_pipeline(
-        rd.from_arrow(t), DedupConfig(min_size=1, cluster_backend="distributed")
+    _assert_tier_agrees(
+        tier, monkeypatch,
+        make_pages(n_exact_groups=3, n_near_groups=3, n_singletons=10)[0],
+        verify_threshold=1.0, exact_set_verify=True,
     )
-    assert cluster_partition(res.clusters) == [["u1", "u2"]]
+    got = _assert_tier_agrees(tier, monkeypatch, _NO_EDGES)
+    assert cluster_partition(got.clusters) == [["u1", "u2"]]
+
+
+def test_pipeline_distributed_backend_matches_driver(monkeypatch):
+    """The fully-Dataset path (component verifier on its exchange tier →
+    label_propagation → bucketed-join assignment) must produce the
+    bit-identical cluster table — ids, sizes and membership — and edge
+    set, while its edges handoff stays a Dataset (never a driver Arrow
+    table)."""
+    _assert_tier_agrees(
+        "label-propagation", monkeypatch,
+        make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)[0],
+    )
+
+
+def test_pipeline_distributed_backend_exact_mode_and_empty_edges(monkeypatch):
+    """The fully-Dataset path under exact-set verification, and with a
+    corpus that yields no LSH edges at all (exact-dup identity clusters
+    must still come out)."""
+    _assert_tier_agrees(
+        "label-propagation", monkeypatch,
+        make_pages(n_exact_groups=3, n_near_groups=3, n_singletons=10)[0],
+        verify_threshold=1.0, exact_set_verify=True,
+    )
+    got = _assert_tier_agrees("label-propagation", monkeypatch, _NO_EDGES)
+    assert cluster_partition(got.clusters) == [["u1", "u2"]]
 
 
 def test_pipeline_broadcast_guard_fallback_matches():

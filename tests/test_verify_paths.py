@@ -2,6 +2,8 @@
 candidate pairs and the memory and exchange tiers of the component
 verifier — must produce identical verified edge sets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -48,9 +50,11 @@ def test_three_verify_paths_agree(monkeypatch):
     monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
     assert memory_verified_edges(sigs, cfg) is None
     d_exchange = _norm(collect_table(component_verified_edges(sigs, cfg)))
-    d_lp = _norm(
-        collect_table(component_verified_edges(sigs, cfg, dataset_labels=True))
-    )
+    # no star-edge set fits broadcast_max_rows=0: label propagation
+    lazy = sigs.map_batches(lambda t: t, batch_format="pyarrow")
+    d_lp = _norm(collect_table(
+        component_verified_edges(lazy, replace(cfg, broadcast_max_rows=0))
+    ))
     pd.testing.assert_frame_equal(d_driver, d_memory)
     pd.testing.assert_frame_equal(d_driver, d_exchange)
     pd.testing.assert_frame_equal(d_driver, d_lp)

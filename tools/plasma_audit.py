@@ -9,11 +9,10 @@ operator sections verbatim, sections are de-duplicated by their exact
 text before summing — each operator execution is counted once.
 
 Usage:
-  python tools/plasma_audit.py [--backend driver|distributed]
-                               [--sf-dir DIR] [--expand N]
+  python tools/plasma_audit.py [--sf-dir DIR] [--expand N]
 
 Prints one JSON line:
-  {"backend": ..., "n_docs": ..., "total_output_bytes": ...,
+  {"n_docs": ..., "total_output_bytes": ...,
    "by_operator": {name: bytes, ...}, "wall_sec": ...}
 
 Used for the BASELINE.md byte-reduction evidence (round 5): run at a
@@ -64,8 +63,6 @@ class Audit:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--backend", default="driver",
-                    choices=["driver", "distributed"])
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
     ap.add_argument("--expand", type=int, default=20)
     ap.add_argument("--num-cpus", type=int, default=16)
@@ -101,9 +98,7 @@ def main() -> None:
         pages = orig_mat(expanded_pages(args.sf_dir, factor=args.expand))
         n_docs = pages.count()
         t0 = time.monotonic()
-        res = near_dup_pipeline(
-            pages, DedupConfig(cluster_backend=args.backend)
-        )
+        res = near_dup_pipeline(pages, DedupConfig())
         clusters = orig_mat(res.clusters)  # final consumption, un-audited mat
         audit.add(clusters.stats())
         rows = clusters.count()
@@ -112,7 +107,6 @@ def main() -> None:
         Dataset.materialize = orig_mat
 
     print(json.dumps({
-        "backend": args.backend,
         "n_docs": n_docs,
         "cluster_rows": rows,
         "wall_sec": round(wall, 2),
