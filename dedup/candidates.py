@@ -74,14 +74,13 @@ from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import (
-    broadcast_map_i64,
+    _add_bucket,
     bucketed_join,
     collect_table,
     ensure_schema,
     pinned_table,
-    semi_filter_auto,
+    small_join,
 )
-from .hashing import fmix64
 from .lsh import Bander, candidate_pairs, segment_pairs
 
 PAIRS_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -176,6 +175,13 @@ def _tagged_sig_rows(
         return None, 0
 
     sig_cols = sigs.select_columns(kernel.cols)
+
+    def typed_sig_cols() -> Dataset:
+        # a join tier reads this side's schema: typed, it costs no
+        # ``limit=1`` execution of the upstream plan
+        schema = sigs.schema().base_schema
+        return ensure_schema(sig_cols, pa.schema([schema.field(c) for c in kernel.cols]))
+
     # gate the driver tier on the ALREADY-known exact edge count before
     # collecting anything: an over-cap star set previously streamed
     # cap+1 rows (~80 MB) to the driver just to fail the size test
@@ -187,59 +193,27 @@ def _tagged_sig_rows(
             st.column("a").to_numpy(zero_copy_only=False),
             st.column("b").to_numpy(zero_copy_only=False),
         )
-        if len(keys) <= cfg.broadcast_max_rows:
-            # ONE broadcast carrying (keys, cids, occupancy prefilter);
-            # membership filter + component tag in a single probe per
-            # batch (the two-step semi_filter + broadcast_map shipped
-            # the key set twice and probed every batch twice)
-            import ray
-
-            from .exchange import member_probe, member_table
-
-            ref = ray.put((keys, cids, member_table(keys)))
-
-            def filter_tag(batch: pa.Table) -> pa.Table:
-                ks, cs, tbl = ray.get(ref)
-                dh = batch.column("doc_hash").to_numpy(zero_copy_only=False)
-                hit = member_probe(ks, tbl, dh)
-                t = batch.filter(pa.array(hit))
-                # hit rows are members, so searchsorted is exact
-                comp = cs[np.searchsorted(ks, dh[hit])]
-                return t.append_column(
-                    "__comp", pa.array(comp, pa.int64())
-                )
-
-            tagged = sig_cols.map_batches(
-                filter_tag, batch_format="pyarrow", zero_copy_batch=True
-            )
-        else:
-            # candidate NODES outgrew the cap even though edges fit:
-            # the guarded two-step (join fallbacks inside) still applies
-            sub = semi_filter_auto(
-                sig_cols, "doc_hash", keys,
-                max_broadcast_rows=cfg.broadcast_max_rows,
-                n_buckets=cfg.join_buckets,
-            )
-            tagged = broadcast_map_i64(
-                sub, "doc_hash", keys, cids, "__comp",
-                max_broadcast_rows=cfg.broadcast_max_rows,
-                n_buckets=cfg.join_buckets,
-            )
-        return tagged, n_stars
+        # the inner join is also the candidate-membership filter; its
+        # guard picks broadcast or join by the candidate-node count
+        comps = pa.table(
+            {"doc_hash": pa.array(keys, pa.int64()), "__comp": pa.array(cids, pa.int64())}
+        )
+        return small_join(
+            typed_sig_cols() if len(keys) > cfg.broadcast_max_rows else sig_cols,
+            "doc_hash", comps, "doc_hash", how="inner",
+            max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
+        ), n_stars
 
     # Dataset tier: component labels never leave the cluster; the inner
     # join is simultaneously the candidate-membership filter
     from .unionfind import label_propagation
 
-    # typed sides: bucketed_join reads both schemas without a probe
-    schema = sigs.schema().base_schema
     labels = ensure_schema(
         label_propagation(stars_d, n_buckets=cfg.join_buckets),
         pa.schema([("node", pa.int64()), ("label", pa.int64())]),
     )
     joined = bucketed_join(
-        ensure_schema(sig_cols, pa.schema([schema.field(c) for c in kernel.cols])),
-        labels, "doc_hash", "node",
+        typed_sig_cols(), labels, "doc_hash", "node",
         n_buckets=cfg.join_buckets, how="inner",
     )
 
@@ -273,14 +247,9 @@ def _grouped(
         cfg.join_buckets, min(65536, n_cand_hint // _GROUP_DOCS_TARGET)
     )
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        comp = batch.column("__comp").to_numpy(zero_copy_only=False)
-        b = (fmix64(comp.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("__cbucket", pa.array(b, pa.int32()))
-
     return (
-        tagged.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__cbucket")
+        _add_bucket(tagged, "__comp", n_buckets)
+        .groupby("__bucket")
         .map_groups(fn, batch_format="pyarrow")
     )
 

@@ -28,15 +28,16 @@ from ray.data import Dataset
 from .config import DedupConfig
 from .exchange import (
     _dups_np,
-    broadcast_map_i64,
     dup_key_counts,
     dup_keys,
     ensure_schema,
+    join_typed,
     pinned_table,
     semi_filter,
+    small_join,
 )
 from .ingest import ingest
-from .schema import CLUSTERS
+from .schema import CLUSTERS, INGESTED
 
 _OUT = CLUSTERS.append(pa.field("redundant_bytes", pa.int64()))
 
@@ -76,11 +77,18 @@ def _dup_fulls(
     # takes effect on this path
     cap = cfg.broadcast_max_rows if cfg is not None else None
     nb = cfg.join_buckets if cfg is not None else 32
+    typed = pa.schema([INGESTED.field(c) for c in cols])
     narrow = ingested.select_columns(cols)
     sizes = dup_keys(narrow, "size_bytes")
-    n1 = semi_filter(narrow, "size_bytes", sizes, max_broadcast_rows=cap, n_buckets=nb)
+    n1 = semi_filter(
+        join_typed(narrow, typed, len(sizes), cap), "size_bytes", sizes,
+        max_broadcast_rows=cap, n_buckets=nb,
+    )
     shorts = dup_keys(n1, "short_hash")
-    n2 = semi_filter(n1, "short_hash", shorts, max_broadcast_rows=cap, n_buckets=nb)
+    n2 = semi_filter(
+        join_typed(n1, typed, len(shorts), cap), "short_hash", shorts,
+        max_broadcast_rows=cap, n_buckets=nb,
+    )
     return dup_key_counts(n2, "doc_hash")
 
 
@@ -117,19 +125,25 @@ def exact_clusters(pages: Dataset, cfg: DedupConfig | None = None) -> Dataset:
         ["url", "size_bytes", "short_hash", "doc_hash"]
     ).materialize()
     keys, cnts = _dup_fulls(ing, cfg)
-    # dup-bounded count map attaches through the size-guarded broadcast
-    # helper (falls back to a bucketed join past the cap); misses get 0
-    # and are dropped by the n>1 filter below.
-    sized = broadcast_map_i64(
-        ing.select_columns(["url", "doc_hash", "size_bytes"]),
-        "doc_hash", keys, cnts, "cluster_size", default_identity=False,
+    # the dup-bounded count map attaches through the guarded lookup; its
+    # inner join keeps exactly the rows of duplicated hashes (count > 1)
+    cols = ["url", "doc_hash", "size_bytes"]
+    sized = small_join(
+        join_typed(
+            ing.select_columns(cols), pa.schema([INGESTED.field(c) for c in cols]),
+            len(keys), cfg.broadcast_max_rows,
+        ),
+        "doc_hash",
+        pa.table({"doc_hash": pa.array(keys, pa.int64()),
+                  "cluster_size": pa.array(cnts, pa.int64())}),
+        "doc_hash", how="inner",
         max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
     )
 
     def emit(batch: pa.Table) -> pa.Table:
         n = batch.column("cluster_size").to_numpy(zero_copy_only=False)
         sz = batch.column("size_bytes").to_numpy(zero_copy_only=False)
-        out = pa.table(
+        return pa.table(
             {
                 "url": batch.column("url"),
                 "doc_hash": batch.column("doc_hash"),
@@ -139,7 +153,6 @@ def exact_clusters(pages: Dataset, cfg: DedupConfig | None = None) -> Dataset:
                 "redundant_bytes": pa.array((n - 1) * sz, pa.int64()),
             }
         )
-        return out.filter(pa.array(n > 1))
 
     # typed even when no block reaches the emit (an empty corpus)
     return ensure_schema(sized.map_batches(emit, batch_format="pyarrow"), _OUT)

@@ -53,11 +53,10 @@ class DedupConfig:
     # hash-partition count for the per-partition signing checkpoint (a
     # killed signing stage resumes from completed partitions)
     sign_partitions: int = 8
-    signer_concurrency: int = 16  # MinHash actor pool max (autoscales from 1)
     join_buckets: int = 32  # partitions for bucketed hash joins
     # dup-bounded broadcast guard: lookup/filter maps larger than this many
     # rows abandon the ray.put broadcast path for a bucketed hash join
-    # (exchange.small_join / semi_filter_auto) — the regime where even the
+    # (exchange.small_join / semi_filter) — the regime where even the
     # duplicate-involved key set outgrows one node's memory. Verified
     # edges past it skip the driver components for label propagation.
     broadcast_max_rows: int = 5_000_000
@@ -193,8 +192,11 @@ _POST_V1_FIELDS = {
 # can still be built keeps matching, and one stamped with another value
 # fails the gate like any other config change. ``cluster_backend`` picked
 # the components tier (now chosen by the verified-edge count);
-# ``max_bucket`` was never read.
-_RETIRED_V1_FIELDS = {"cluster_backend": "driver", "max_bucket": 2000}
+# ``max_bucket`` was never read; ``signer_concurrency`` sized the MinHash
+# actor pool, which is gone.
+_RETIRED_V1_FIELDS = {
+    "cluster_backend": "driver", "max_bucket": 2000, "signer_concurrency": 16,
+}
 
 # Execution-only knobs at their ≤v3 default: ≤v3 fingerprints included
 # them, so fingerprint_v3 adds them back to recognize pre-bump manifests.

@@ -27,6 +27,7 @@ from ray.data import Dataset
 
 from .cascade import exact_survivors
 from .config import DedupConfig
+from .exchange import _add_bucket
 from .ingest import ingest
 
 
@@ -38,15 +39,6 @@ def consolidation_plan(
     reclaim — the fully-hardlinked-group filter F5 analogue)."""
     cfg = cfg or DedupConfig()
     surv = exact_survivors(ingest(pages, cfg), cfg)
-    n_buckets = cfg.join_buckets  # scale-derived fan-out (one bucket / worker)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        from .hashing import fmix64
-
-        dh = batch.column("doc_hash").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            b = (fmix64(dh.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
 
     def plan_bucket(batch: pa.Table) -> pa.Table:
         # one vectorized pass over co-located whole groups — never one
@@ -93,9 +85,12 @@ def consolidation_plan(
         )
         return out.filter(pa.array(keep))
 
+    # scale-derived fan-out (one bucket / worker)
     return (
-        surv.select_columns(["url", "doc_hash", "size_bytes"])
-        .map_batches(bucketize, batch_format="pyarrow")
+        _add_bucket(
+            surv.select_columns(["url", "doc_hash", "size_bytes"]),
+            "doc_hash", cfg.join_buckets,
+        )
         .groupby("__bucket")
         .map_groups(plan_bucket, batch_format="pyarrow")
     )

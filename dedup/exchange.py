@@ -6,20 +6,28 @@ At Ray scale a naive ``groupby(key).map_groups(drop-singletons)`` shuffles
 every row (text payloads included). These helpers keep the wide exchange on
 **narrow columns only**:
 
-- ``dup_keys``: per-batch partial counts (combiner) → tiny groupby over
-  (key, partial_count) → keys whose global count > 1. Only 16-byte rows
-  shuffle; the text never moves.
-- ``semi_filter``: broadcast the (small) surviving key set once via
-  ``ray.put`` and filter inside ``map_batches`` with a sorted-array
-  ``searchsorted`` membership test. No join shuffle.
+- ``dup_keys`` / ``dup_key_counts``: per-batch partial counts (combiner)
+  → a driver or bucketed merge → keys whose global count > 1. Only
+  16-byte rows move; the text never does.
 - ``bucketed_join``: explicit partitioned hash join (add ``bucket =
   mix(key) % B`` to both sides, union with a side tag, groupby bucket,
-  pandas merge per bucket) for when both sides are large.
+  merge per bucket) for when both sides are large.
 
-At 100 TB the broadcast set can exceed driver memory only when the number
-of *duplicate-involved* keys itself is huge; ``semi_filter`` falls back to
-``bucketed_join`` semantics in that regime (caller picks via
-``len(keys)``).
+Every stage boundary then attaches a dup-bounded key set or map
+(duplicated hashes, their counts, component or cluster ids) to a
+corpus-sized stream through one of two guarded primitives:
+
+- ``semi_filter``: keep (or drop) rows whose key is in a sorted set;
+- ``small_join``: attach a key → columns map (inner or left join).
+
+The guard is the set's row count against ``max_broadcast_rows``
+(default ``BROADCAST_MAX_ROWS``; ``DedupConfig.broadcast_max_rows`` at
+call sites). Within it the set ships once via ``ray.put`` with its
+``member_table`` prefilter and every batch probes it with
+``member_probe`` — no shuffle. Past it the lookup is a
+``bucketed_join``, with the same rows. The join tier reads the stream's
+schema, so callers type that side (``join_typed``) exactly when the
+guard sends it there.
 """
 
 from __future__ import annotations
@@ -266,28 +274,6 @@ def dup_keys(ds: Dataset, key_col: str) -> np.ndarray:
     return dup_key_counts(ds, key_col)[0]
 
 
-def semi_filter(
-    ds: Dataset,
-    key_col: str,
-    keys_sorted: np.ndarray,
-    keep: bool = True,
-    max_broadcast_rows: int | None = None,
-    n_buckets: int = 32,
-) -> Dataset:
-    """Keep (or drop) rows whose key is in the sorted key set.
-
-    Guarded by default: the key set broadcasts (``ray.put`` once,
-    searchsorted per batch) only while it fits ``max_broadcast_rows``
-    (default ``BROADCAST_MAX_ROWS``); past the bound the membership test
-    becomes a bucketed semi/anti join — identical row set. Every call
-    site in the repo therefore degrades gracefully when a "dup-bounded"
-    set turns out corpus-sized."""
-    return semi_filter_auto(
-        ds, key_col, keys_sorted, keep=keep,
-        max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
-    )
-
-
 def member_table(d: np.ndarray) -> "np.ndarray | None":
     """Occupancy prefilter for membership tests against sorted int64
     ``d``: a boolean table over ``fmix64(x) & (M-1)`` with load factor
@@ -331,92 +317,10 @@ def member_probe(
     return out
 
 
-def _semi_filter_broadcast(
-    ds: Dataset, key_col: str, keys_sorted: np.ndarray, keep: bool = True
-) -> Dataset:
-    """Broadcast branch: the key set (and its prefilter, when large
-    enough to warrant one) ships once via ray.put."""
-    ref = ray.put((keys_sorted, member_table(keys_sorted)))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        ks, tbl = ray.get(ref)
-        col = batch.column(key_col).to_numpy(zero_copy_only=False)
-        member = member_probe(ks, tbl, col)
-        mask = member if keep else ~member
-        return batch.filter(pa.array(mask))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def broadcast_map_i64(ds: Dataset, key_col: str, mapping_keys: np.ndarray,
-                      mapping_vals: np.ndarray, out_col: str,
-                      default_identity: bool = True,
-                      max_broadcast_rows: int | None = None,
-                      n_buckets: int = 32) -> Dataset:
-    """Add ``out_col`` = mapping[key] via a size-guarded lookup.
-
-    Keys absent from the mapping get their own key value (identity) when
-    ``default_identity`` — e.g. a doc outside any duplicate component is its
-    own cluster. While the mapping fits ``max_broadcast_rows`` (default
-    ``BROADCAST_MAX_ROWS``) it ships once via ``ray.put``; past the bound
-    the lookup becomes a bucketed LEFT hash join + coalesce — identical
-    output.
-
-    Precondition: ``mapping_keys`` must be UNIQUE (the broadcast branch
-    resolves one value per key, the join branch would replicate rows
-    per duplicate) — rejected loudly so the branches cannot silently
-    diverge as the mapping grows past the cap.
-    """
-    order = np.argsort(mapping_keys)  # one sort serves the duplicate
-    # check AND the broadcast branch's sorted lookup arrays
-    mk_sorted = mapping_keys[order]
-    if len(mk_sorted) > 1 and np.any(mk_sorted[1:] == mk_sorted[:-1]):
-        raise ValueError(
-            "broadcast_map_i64: mapping_keys has duplicates — the broadcast "
-            "and join branches would diverge; collapse the mapping first"
-        )
-    cap = BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
-    if len(mapping_keys) > cap:
-        import ray.data as rd
-
-        mt = rd.from_arrow(
-            pa.table(
-                {
-                    "__mk": pa.array(mapping_keys, pa.int64()),
-                    "__mv": pa.array(mapping_vals, pa.int64()),
-                }
-            )
-        )
-        j = bucketed_join(ds, mt, key_col, "__mk", n_buckets=n_buckets, how="left")
-
-        def fin(batch: pa.Table) -> pa.Table:
-            mv = batch.column("__mv")
-            if default_identity:
-                out = pc.coalesce(mv, batch.column(key_col))
-            else:
-                out = pc.coalesce(mv, pa.scalar(0, pa.int64()))
-            out = out.cast(pa.int64()) if out.type != pa.int64() else out
-            return batch.drop_columns(["__mk", "__mv"]).append_column(out_col, out)
-
-        return j.map_batches(fin, batch_format="pyarrow")
-
-    ref = ray.put((mk_sorted, mapping_vals[order]))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        mk, mv = ray.get(ref)
-        col = batch.column(key_col).to_numpy(zero_copy_only=False)
-        out = col.copy() if default_identity else np.zeros_like(col)
-        if len(mk):
-            idx = np.searchsorted(mk, col)
-            idx_c = np.minimum(idx, len(mk) - 1)
-            hit = mk[idx_c] == col
-            out[hit] = mv[idx_c[hit]]
-        return batch.append_column(out_col, pa.array(out, pa.int64()))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 def _add_bucket(ds: Dataset, key_col: str, n_buckets: int) -> Dataset:
+    """Append ``__bucket`` = fmix64(key) % ``n_buckets`` (int32): the
+    bucket router of every bucketed exchange and bucket-grouped pass."""
+
     def fn(batch: pa.Table) -> pa.Table:
         col = batch.column(key_col).to_numpy(zero_copy_only=False)
         col = col.view(np.uint64) if col.dtype == np.int64 else col.astype(np.uint64)
@@ -571,6 +475,10 @@ def min_by_key(ds: Dataset, key_col: str, val_col: str, n_buckets: int = 32) -> 
 BROADCAST_MAX_ROWS = 5_000_000  # default guard; DedupConfig.broadcast_max_rows
 
 
+def _cap(max_broadcast_rows: int | None) -> int:
+    return BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
+
+
 def small_join(
     ds: Dataset,
     key_col: str,
@@ -583,11 +491,13 @@ def small_join(
     """Attach ``right``'s non-key columns to ``ds`` by an int64 key.
 
     The dup-bounded broadcast pattern with a size guard: while ``right``
-    fits the bound it is ``ray.put`` once and looked up per batch with a
-    sorted-key searchsorted (zero shuffle — the standard small-side
-    broadcast join); past the bound it falls back to ``bucketed_join``
-    (both sides shuffle once on narrow bucketed blocks). Identical output
-    either way (asserted in tests/test_exchange_guard.py).
+    fits the bound, its sorted keys, their ``member_table`` prefilter and
+    its values ship in one ``ray.put``; each batch finds its hits with
+    ``member_probe`` and searches the sorted keys for those only (zero
+    shuffle — the standard small-side broadcast join). Past the bound it
+    falls back to ``bucketed_join`` (both sides shuffle once on narrow
+    bucketed blocks). Identical output either way (asserted in
+    tests/test_exchange_guard.py).
 
     Precondition: ``right[right_key]`` must be UNIQUE. The broadcast
     branch attaches exactly one match per left row while the bucketed
@@ -602,14 +512,14 @@ def small_join(
         raise ValueError(f"small_join: unsupported how={how!r}")
     rkeys = right.column(right_key).to_numpy(zero_copy_only=False)
     order = np.argsort(rkeys)
-    if len(rkeys) > 1 and np.any(rkeys[order][1:] == rkeys[order][:-1]):
+    sk = rkeys[order]
+    if len(sk) > 1 and np.any(sk[1:] == sk[:-1]):
         raise ValueError(
             f"small_join: right[{right_key!r}] has duplicate keys — the "
             "broadcast and bucketed branches would diverge (one match vs "
             "replicated rows); deduplicate the right side first"
         )
-    cap = BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
-    if len(right) > cap:
+    if len(right) > _cap(max_broadcast_rows):
         import ray.data as rd
 
         out = bucketed_join(
@@ -624,44 +534,27 @@ def small_join(
         return out
 
     vals = right.drop_columns([right_key]).take(pa.array(order, pa.int64())).combine_chunks()
-    ref = ray.put((rkeys[order], vals))
+    ref = ray.put((sk, member_table(sk), vals))
 
     def fn(batch: pa.Table) -> pa.Table:
-        sk, vt = ray.get(ref)
+        sk, tbl, vt = ray.get(ref)
         col = batch.column(key_col).to_numpy(zero_copy_only=False)
-        if len(sk):
-            idx = np.minimum(np.searchsorted(sk, col), len(sk) - 1)
-            hit = sk[idx] == col
-        else:
-            idx = np.zeros(len(col), np.int64)
-            hit = np.zeros(len(col), bool)
+        hit = member_probe(sk, tbl, col)
+        idx = np.searchsorted(sk, col[hit])  # hits are members: exact
         if how == "inner":
-            out = batch.filter(pa.array(hit))
-            g = vt.take(pa.array(idx[hit], pa.int64()))
-            for name in g.column_names:
-                out = out.append_column(name, g.column(name))
-            return out
-        if not len(sk):
-            out = batch
-            for f in vt.schema:
-                out = out.append_column(f.name, pa.nulls(len(batch), f.type))
-            return out
-        g = vt.take(pa.array(idx, pa.int64()))
-        mask = pa.array(hit)
-        out = batch
+            out, g = batch.filter(pa.array(hit)), vt.take(pa.array(idx, pa.int64()))
+        else:  # a miss takes a null index, i.e. null right columns
+            full = np.zeros(len(col), np.int64)
+            full[hit] = idx
+            out, g = batch, vt.take(pa.array(full, mask=~hit))
         for name in g.column_names:
-            c = g.column(name)
-            if isinstance(c, pa.ChunkedArray):
-                c = c.combine_chunks()
-            out = out.append_column(
-                name, pc.if_else(mask, c, pa.scalar(None, type=c.type))
-            )
+            out = out.append_column(name, g.column(name))
         return out
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def semi_filter_auto(
+def semi_filter(
     ds: Dataset,
     key_col: str,
     keys_sorted: np.ndarray,
@@ -669,11 +562,15 @@ def semi_filter_auto(
     max_broadcast_rows: int | None = None,
     n_buckets: int = 32,
 ) -> Dataset:
-    """Size-guarded membership filter: small key sets broadcast
-    (searchsorted membership per batch); past the bound the membership
+    """Keep (or, ``keep=False``, drop) rows whose key is in the sorted
+    key set.
+
+    Guarded like ``small_join``: within ``max_broadcast_rows`` the set
+    and its ``member_table`` prefilter ship in one ``ray.put`` and each
+    batch is probed with ``member_probe``; past the bound the membership
     test becomes a bucketed left join + null check (semi / anti join).
-    Identical row set either way. (``semi_filter`` is an alias.)"""
-    cap = BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
+    Identical row set either way, so every call site degrades gracefully
+    when a "dup-bounded" set turns out corpus-sized."""
     if len(keys_sorted) > 1:
         # membership is a SET test: drop duplicate keys so the join
         # branch cannot replicate matching rows where the broadcast
@@ -682,8 +579,16 @@ def semi_filter_auto(
         first[1:] = keys_sorted[1:] != keys_sorted[:-1]
         if not first.all():
             keys_sorted = keys_sorted[first]
-    if len(keys_sorted) <= cap:
-        return _semi_filter_broadcast(ds, key_col, keys_sorted, keep)
+    if len(keys_sorted) <= _cap(max_broadcast_rows):
+        ref = ray.put((keys_sorted, member_table(keys_sorted)))
+
+        def fn(batch: pa.Table) -> pa.Table:
+            ks, tbl = ray.get(ref)
+            col = batch.column(key_col).to_numpy(zero_copy_only=False)
+            member = member_probe(ks, tbl, col)
+            return batch.filter(pa.array(member if keep else ~member))
+
+        return ds.map_batches(fn, batch_format="pyarrow")
     import ray.data as rd
 
     kt = rd.from_arrow(
@@ -697,6 +602,18 @@ def semi_filter_auto(
         return batch.filter(mask).drop_columns(["__semi_key"])
 
     return j.map_batches(fl, batch_format="pyarrow")
+
+
+def join_typed(
+    ds: Dataset, schema: pa.Schema, n_keys: int, max_broadcast_rows: int | None = None
+) -> Dataset:
+    """``ds`` as the stream side of a ``small_join`` / ``semi_filter``
+    against ``n_keys`` keys: typed (``ensure_schema``) when the guard
+    sends it to the join tier, which reads its schema — untyped, Ray
+    runs a ``limit=1`` pass of its whole upstream plan for that — and
+    returned as is within the guard, where the typing union would only
+    split the broadcast lookup's fused map."""
+    return ensure_schema(ds, schema) if n_keys > _cap(max_broadcast_rows) else ds
 
 
 def ensure_schema(ds: Dataset, schema: pa.Schema) -> Dataset:

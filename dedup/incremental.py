@@ -54,7 +54,7 @@ chosen once per call:
   fits, and writes the index and its Bloom sidecar from memory.
 - **exchange tier** (larger batches or indexes, and legacy indexes
   without ``bands/``): the same probes as Ray Data scans, membership
-  size-guarded via ``semi_filter_auto`` — broadcast while the key set
+  size-guarded via ``semi_filter`` — broadcast while the key set
   fits ``cfg.broadcast_max_rows``, bucketed hash join past it.
 
 Both tiers classify with one function (``_classify``), so they return
@@ -111,7 +111,6 @@ from .exchange import (
     member_probe,
     pinned_table,
     semi_filter,
-    semi_filter_auto,
 )
 from .hashing import xxh64_arrow
 from .ingest import ingest
@@ -369,7 +368,7 @@ def incremental_dedup(
     else:
         exact_old = np.unique(
             collect_table(
-                semi_filter_auto(
+                semi_filter(
                     old_docs, "doc_hash", probe_hashes,
                     max_broadcast_rows=cfg.broadcast_max_rows,
                     n_buckets=cfg.join_buckets,
@@ -407,7 +406,7 @@ def incremental_dedup(
     # block)
     old_cand = np.unique(
         collect_table(
-            semi_filter_auto(
+            semi_filter(
                 bands_idx.select_columns(["doc_hash", "bkey"]), "bkey", nb_keys,
                 max_broadcast_rows=cfg.broadcast_max_rows,
                 n_buckets=cfg.join_buckets,
@@ -429,7 +428,7 @@ def incremental_dedup(
             filter=pc.field("doc_hash").isin(pa.array(old_cand, pa.int64())),
         )
     else:
-        old_sig_rows = semi_filter_auto(
+        old_sig_rows = semi_filter(
             rd.read_parquet(sigs_dir, columns=sig_cols), "doc_hash", old_cand,
             max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
         )
@@ -468,7 +467,7 @@ def incremental_dedup(
         return batch.append_column("url_hash", pa.array(h.view(np.int64), pa.int64()))
 
     kept = (
-        semi_filter_auto(
+        semi_filter(
             ing.select_columns(["url", "size_bytes", "doc_hash"]).map_batches(
                 add_url_hash, batch_format="pyarrow"
             ),

@@ -31,7 +31,7 @@ import pyarrow as pa
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
-from .exchange import broadcast_map_i64, collect_table, semi_filter
+from .exchange import collect_table, join_typed, semi_filter, small_join
 from .hashing import U64, fmix64
 from .minhash import DEFAULT_TOKEN_HASH, _hash_tokens
 from .textstats import _tokenize
@@ -180,18 +180,23 @@ def jaccard_pairs(
         )
     else:
         cand = np.empty(0, np.int64)
+    i64 = pa.int64()
+    counts = pa.schema([("doc", i64), ("n", i64)])
     if len(cand):
-        sub = collect_table(semi_filter(cnt, "doc", cand))
-        dkeys = sub.column("doc").to_numpy(zero_copy_only=False)
-        dns = sub.column("n").to_numpy(zero_copy_only=False)
+        sub = collect_table(
+            semi_filter(join_typed(cnt, counts, len(cand)), "doc", cand)
+        )
     else:
-        dkeys = np.empty(0, np.int64)
-        dns = np.empty(0, np.int64)
-    # attach n_a / n_b through the size-guarded broadcast helper
-    withn = broadcast_map_i64(
-        broadcast_map_i64(inter, "pa", dkeys, dns, "n_a", default_identity=False),
-        "pb", dkeys, dns, "n_b", default_identity=False,
+        sub = counts.empty_table()
+    # attach n_a / n_b through the guarded lookup. Every candidate
+    # endpoint has shingles, hence a count: the inner joins drop no pair.
+    with_a = small_join(inter, "pa", sub.rename_columns(["pa", "n_a"]), "pa")
+    with_a = join_typed(
+        with_a,
+        pa.schema([("pa", i64), ("pb", i64), ("n_common", i64), ("n_a", i64)]),
+        len(sub),
     )
+    withn = small_join(with_a, "pb", sub.rename_columns(["pb", "n_b"]), "pb")
 
     def finish(batch: pa.Table) -> pa.Table:
         a = batch.column("pa").to_numpy(zero_copy_only=False)

@@ -17,12 +17,11 @@ callers should project columns that are functions of (key, right_ts).
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from .hashing import fmix64
+from .exchange import _add_bucket
 
 
 def asof_join(
@@ -38,19 +37,14 @@ def asof_join(
     """Backward as-of join → left columns + selected right columns."""
     right_cols = right_cols or []
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        k = batch.column(by).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (fmix64(k.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-
     lschema = left.schema().base_schema
     rschema = right.schema().base_schema
     lcols = list(lschema.names)
     rkeep = [by, right_ts] + [c for c in right_cols if c not in (by, right_ts)]
     rnames = {c: c if c not in lcols or c == by else f"r_{c}" for c in rkeep}
 
-    lb = left.map_batches(bucketize, batch_format="pyarrow")
-    rb = right.select_columns(rkeep).map_batches(bucketize, batch_format="pyarrow")
+    lb = _add_bucket(left, by, n_buckets)
+    rb = _add_bucket(right.select_columns(rkeep), by, n_buckets)
 
     fields = list(lschema) + [
         pa.field(rnames[c], rschema.field(c).type) for c in rkeep if c != by

@@ -30,10 +30,10 @@ from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import (
-    BROADCAST_MAX_ROWS,
     dup_key_counts,
     dup_keys,
     ensure_schema,
+    join_typed,
     semi_filter,
 )
 from .ingest import ingest
@@ -119,14 +119,11 @@ def distinct_reps(
     narrow = ingested.select_columns(["doc_hash", "text"])
     if dups is None:
         dups = dup_keys(ingested, "doc_hash")
-    if len(dups) > (
-        BROADCAST_MAX_ROWS if max_broadcast_rows is None else max_broadcast_rows
-    ):
-        # both membership filters take their join tier, which reads this
-        # side's schema: typed, it costs no ``limit=1`` upstream execution
-        narrow = ensure_schema(
-            narrow, pa.schema([INGESTED.field("doc_hash"), INGESTED.field("text")])
-        )
+    # one typing serves both membership filters: they take one tier
+    narrow = join_typed(
+        narrow, pa.schema([INGESTED.field("doc_hash"), INGESTED.field("text")]),
+        len(dups), max_broadcast_rows,
+    )
     uniq = semi_filter(
         narrow, "doc_hash", dups, keep=False,
         max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
@@ -456,9 +453,7 @@ def assign_clusters(
     carried = [c for c in schema.names if c not in ("cluster_id", "cluster_size")]
     narrow = ing.select_columns(carried)
     # a join reads this side's schema: typed, that costs no ``limit=1``
-    # execution of the upstream plan (and an empty ingest pin has none).
-    # The broadcast lookup reads none, and the typing union would split
-    # its fused map.
+    # execution of the upstream plan (and an empty ingest pin has none)
     typed = pa.schema([schema.field(c) for c in carried])
     if isinstance(comps, Dataset):
         joined = bucketed_join(
@@ -468,10 +463,9 @@ def assign_clusters(
         )
     else:
         node_map = _node_map(*comps, dup_hashes, dup_cnts)
-        if len(node_map) > cfg.broadcast_max_rows:  # small_join's join tier
-            narrow = ensure_schema(narrow, typed)
         joined = small_join(
-            narrow, "doc_hash", node_map, "__node", how="inner",
+            join_typed(narrow, typed, len(node_map), cfg.broadcast_max_rows),
+            "doc_hash", node_map, "__node", how="inner",
             max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
         )
     return ensure_schema(
@@ -656,9 +650,7 @@ def near_dup_corpus(
     hashed = ing.select_columns(["url", "doc_hash", "size_bytes"]).map_batches(
         add_row_key, batch_format="pyarrow"
     )
-    from .exchange import semi_filter_auto as _semi
-
-    return _semi(
+    return semi_filter(
         hashed, "__rkey", drop_hashes, keep=False,
         max_broadcast_rows=cfg.broadcast_max_rows, n_buckets=cfg.join_buckets,
     ).select_columns(["url", "size_bytes"])

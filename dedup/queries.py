@@ -35,7 +35,7 @@ import ray.data as rd
 from .adapters import pages_from_documents
 from .cascade import exact_survivors
 from .config import DedupConfig
-from .exchange import dup_keys, semi_filter
+from .exchange import _add_bucket, dup_keys, semi_filter
 from .ingest import ingest
 from .textstats import LANGS, QUALITY_MIN_TOKENS, QUALITY_STOP_DEN, QUALITY_STOP_NUM, STOPWORDS, text_stats, token_frequencies
 
@@ -841,13 +841,6 @@ def q_warc_pipeline(sf_dir: str):
     # row-cardinality at web scale — the distinct_reps pattern) with an
     # Arrow C++ sort + boundary take per co-located bucket; urls never
     # become Python objects
-    def bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import fmix64
-
-        dh = batch.column("doc_hash").to_numpy(zero_copy_only=False)
-        b = (fmix64(dh.view(np.uint64)) % np.uint64(32)).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-
     def bucket_reps(g: pa.Table) -> pa.Table:
         t = g.sort_by([("doc_hash", "ascending"), ("url", "ascending")])
         dh = t.column("doc_hash").to_numpy(zero_copy_only=False)
@@ -866,8 +859,7 @@ def q_warc_pipeline(sf_dir: str):
         )
 
     reps = (
-        semi_filter(narrow, "doc_hash", dups)
-        .map_batches(bucket, batch_format="pyarrow")
+        _add_bucket(semi_filter(narrow, "doc_hash", dups), "doc_hash", 32)
         .groupby("__bucket")
         .map_groups(bucket_reps, batch_format="pyarrow")
     )
@@ -904,7 +896,7 @@ def q_clean_corpus(sf_dir: str):
     dups = dup_keys(ing, "doc_hash")
     uniq = semi_filter(ing, "doc_hash", dups, keep=False)
     if len(dups):
-        from .exchange import collect_table, semi_filter_auto
+        from .exchange import collect_table
 
         dup_rows = semi_filter(ing, "doc_hash", dups)
         reps = (
@@ -923,7 +915,7 @@ def q_clean_corpus(sf_dir: str):
             ).view(np.int64)
             return batch.append_column("__uh", pa.array(uh, pa.int64()))
 
-        kept = semi_filter_auto(
+        kept = semi_filter(
             dup_rows.map_batches(add_url_hash, batch_format="pyarrow"),
             "__uh", keep_hashes,
             max_broadcast_rows=CFG.broadcast_max_rows, n_buckets=CFG.join_buckets,
@@ -1270,7 +1262,7 @@ def q_bloom_new_docs(sf_dir: str):
     import ray
 
     from .bloom import bloom_build_sharded, bloom_split
-    from .exchange import collect_table, semi_filter_auto
+    from .exchange import collect_table
     from .hashing import xxh64_arrow
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -1340,7 +1332,7 @@ def q_bloom_new_docs(sf_dir: str):
     )
     present = np.unique(
         collect_table(
-            semi_filter_auto(corpus.select_columns(["doc_hash"]), "doc_hash", maybe)
+            semi_filter(corpus.select_columns(["doc_hash"]), "doc_hash", maybe)
         )
         .column("doc_hash")
         .to_numpy(zero_copy_only=False)

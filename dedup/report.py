@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
+from .exchange import _add_bucket
+
 
 def _nested_bucket(batch: pa.Table) -> pa.Table:
     """One bucket (co-located whole clusters) → nested rows, fully
@@ -96,16 +98,8 @@ def nested_groups(clusters: Dataset, n_buckets: int = 64) -> Dataset:
     Clusters are hash-bucketed (low-cardinality key — never map_groups on
     cluster_id itself, whose cardinality is the number of duplicate
     groups) and each bucket is built with one vectorized pass."""
-    from .hashing import fmix64
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        cid = batch.column("cluster_id").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            b = (fmix64(cid.view(np.uint64)) % np.uint64(n_buckets)).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-
     return (
-        clusters.map_batches(bucketize, batch_format="pyarrow")
+        _add_bucket(clusters, "cluster_id", n_buckets)
         .groupby("__bucket")
         .map_groups(_nested_bucket, batch_format="pyarrow")
     )

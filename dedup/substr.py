@@ -63,6 +63,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from .exchange import member_probe, member_table
 from .hashing import U64, fmix64
 from .minhash import DEFAULT_TOKEN_HASH, _hash_tokens
 from .minhash import _POLY
@@ -235,12 +236,6 @@ def _dup_window_sets(
     return None, dupd
 
 
-# canonical membership-prefilter helpers live in exchange.py (shared
-# with semi_filter and lines.py); re-bound here for this module's tests
-from .exchange import member_probe as _member_sorted  # noqa: E402
-from .exchange import member_table as _member_table  # noqa: E402
-
-
 def strip_dup_spans(
     docs: Dataset,
     dup_sorted: np.ndarray,
@@ -260,7 +255,7 @@ def strip_dup_spans(
     shared with the SQL oracle).
     """
     ref = ray.put(dup_sorted)
-    tbl_ref = ray.put(_member_table(dup_sorted))
+    tbl_ref = ray.put(member_table(dup_sorted))
 
     def strip(batch: pa.Table) -> pa.Table:
         d = ray.get(ref)
@@ -272,10 +267,7 @@ def strip_dup_spans(
             np.cumsum(n_win) - n_win, n_win
         )
         h = wh.view(np.int64)
-        if len(d) and len(h):
-            dup = _member_sorted(d, tbl, h)
-        else:
-            dup = np.zeros(len(h), dtype=bool)
+        dup = member_probe(d, tbl, h)
         if keep is not None:
             dup &= keep
         ids = batch.column(id_col)

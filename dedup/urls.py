@@ -29,13 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from .exchange import (
-    broadcast_map_i64,
-    dup_key_counts,
-    min_by_key,
-    semi_filter,
-    small_join,
-)
+from .exchange import dup_key_counts, join_typed, min_by_key, semi_filter, small_join
 from .hashing import xxh64_arrow
 
 # scheme://host split; host includes any :port (handled by later rules)
@@ -136,9 +130,10 @@ def latest_snapshot(
     """Keep the latest snapshot per url; append ``n_snapshots``.
 
     Dup-bounded data movement: only narrow (url-hash, partial-count /
-    partial-max-ts) combiner rows move; the winner map (revisited urls
-    only) is broadcast and full rows are filtered in place. Precondition:
-    (url, ts) unique per row — WARC snapshot identity.
+    partial-max-ts) combiner rows move; one map of the revisited urls
+    (winning ts, snapshot count) attaches through the guarded lookup and
+    full rows are filtered in place. Precondition: (url, ts) unique per
+    row — WARC snapshot identity.
     """
 
     def add_kh(batch: pa.Table) -> pa.Table:
@@ -146,10 +141,10 @@ def latest_snapshot(
         return batch.append_column("__kh", pa.array(kh, pa.int64()))
 
     keyed = ds.map_batches(add_kh, batch_format="pyarrow", zero_copy_batch=True)
-    keyed = keyed.materialize()  # scanned three times below (counts, winners, filter)
+    keyed = keyed.materialize()  # scanned three times below (counts, winners, attach)
 
     dup_k, dup_c = dup_key_counts(keyed.select_columns(["__kh"]), "__kh")
-
+    win_v = np.empty(0, np.int64)
     if len(dup_k):
         # winning (max) ts per revisited url only: minimize negated ts
         def neg_ts(batch: pa.Table) -> pa.Table:
@@ -160,7 +155,11 @@ def latest_snapshot(
                 }
             )
 
-        dup_rows = semi_filter(keyed.select_columns(["__kh", ts_col]), "__kh", dup_k)
+        narrow = keyed.select_columns(["__kh", ts_col])
+        # a pin with rows: its schema is block metadata
+        schema = keyed.schema().base_schema
+        typed = pa.schema([schema.field("__kh"), schema.field(ts_col)])
+        dup_rows = semi_filter(join_typed(narrow, typed, len(dup_k)), "__kh", dup_k)
         win = (
             min_by_key(
                 dup_rows.map_batches(neg_ts, batch_format="pyarrow"),
@@ -169,45 +168,32 @@ def latest_snapshot(
             )
             .to_pandas()
         )
-        win_k = win["__kh"].to_numpy()
-        win_v = win["__negts"].to_numpy()
-        order = np.argsort(win_k)
-        win_k, win_v = win_k[order], win_v[order]
-    else:
-        win_k = np.empty(0, np.int64)
-        win_v = np.empty(0, np.int64)
+        # every revisited url has one winner: sorted, the keys are dup_k
+        win_v = win["__negts"].to_numpy()[np.argsort(win["__kh"].to_numpy())]
 
-    # both maps are dup-bounded (revisited urls only); attach them through
-    # the size-guarded exchange helpers so an adversarial revisit-heavy
-    # corpus falls back to bucketed joins instead of an unbounded ray.put.
-    win_tbl = pa.table(
+    # one dup-bounded map (revisited urls only) through the guarded
+    # lookup, so an adversarial revisit-heavy corpus falls back to a
+    # bucketed join instead of an unbounded ray.put
+    revisits = pa.table(
         {
-            "__kh": pa.array(win_k, pa.int64()),
+            "__kh": pa.array(dup_k, pa.int64()),
             "__win_negts": pa.array(win_v, pa.int64()),
+            "__n": pa.array(dup_c, pa.int64()),
         }
     )
-    joined = small_join(keyed, "__kh", win_tbl, "__kh", how="left")
+    joined = small_join(keyed, "__kh", revisits, "__kh", how="left")
 
-    def keep_win(batch: pa.Table) -> pa.Table:
+    def finish(batch: pa.Table) -> pa.Table:
         wv = batch.column("__win_negts")
-        if isinstance(wv, pa.ChunkedArray):
-            wv = wv.combine_chunks()
         hit = pc.is_valid(wv).to_numpy(zero_copy_only=False)
         wvf = pc.fill_null(wv, 0).to_numpy(zero_copy_only=False)
         ts = _ts_i64(batch.column(ts_col))
         keep = ~hit | (-ts == wvf)
-        return batch.filter(pa.array(keep)).drop_columns(["__win_negts"])
-
-    kept = joined.map_batches(keep_win, batch_format="pyarrow")
-    sized = broadcast_map_i64(
-        kept, "__kh", dup_k, dup_c, "n_snapshots", default_identity=False
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_snapshots").to_numpy(zero_copy_only=False)
-        n = np.maximum(n, 1)  # 0 = url never revisited → one snapshot
-        return batch.drop_columns(["__kh", "n_snapshots"]).append_column(
-            "n_snapshots", pa.array(n, pa.int64())
+        n = pc.fill_null(batch.column("__n"), 1)  # never revisited: one snapshot
+        return (
+            batch.drop_columns(["__kh", "__win_negts", "__n"])
+            .append_column("n_snapshots", n)
+            .filter(pa.array(keep))
         )
 
-    return sized.map_batches(finish, batch_format="pyarrow")
+    return joined.map_batches(finish, batch_format="pyarrow")

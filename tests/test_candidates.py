@@ -61,7 +61,10 @@ def test_component_pairs_equal_classic():
     assert len(comp_t) == len(comp)
 
 
-def test_component_tiers_identical():
+def test_component_tiers_identical(monkeypatch):
+    import dedup.exchange as ex
+    from dedup.candidates import _tagged_sig_rows, minhash_kernel
+
     cfg = DedupConfig(min_size=1, verify_threshold=0.0)
     sigs = _sigs(cfg)
     lazy = sigs.map_batches(lambda t: t, batch_format="pyarrow")
@@ -71,7 +74,19 @@ def test_component_tiers_identical():
     t3 = collect_table(component_verified_edges(
         lazy, DedupConfig(min_size=1, verify_threshold=0.0, broadcast_max_rows=0)
     ))
-    assert _pair_set(t1) == _pair_set(t2) == _pair_set(t3) and len(t1)
+    # the star edges fit the guard but their nodes do not: the driver
+    # components attach through small_join's join tier
+    _, n_stars = _tagged_sig_rows(lazy, cfg, minhash_kernel(cfg))
+    joins = []
+    join = ex.bucketed_join
+    monkeypatch.setattr(
+        ex, "bucketed_join", lambda *a, **k: joins.append(a[2]) or join(*a, **k)
+    )
+    t4 = collect_table(component_verified_edges(
+        lazy, replace(cfg, broadcast_max_rows=n_stars)
+    ))
+    assert joins == ["doc_hash"]
+    assert _pair_set(t1) == _pair_set(t2) == _pair_set(t3) == _pair_set(t4) and len(t1)
 
 
 def test_segment_pairs_allpairs_and_star():

@@ -199,7 +199,9 @@ def test_schema_migration_in_place(tmp_path):
     # token_hash key at all (the field postdates v3). It also wrote the
     # v1 fields deleted since, at the only values a config can have now.
     v1_values.update(_EXEC_KNOB_V3_DEFAULTS)
-    v1_values.update({"cluster_backend": "driver", "max_bucket": 2000})
+    v1_values.update(
+        {"cluster_backend": "driver", "max_bucket": 2000, "signer_concurrency": 16}
+    )
     del v1_values["token_hash"]
     v1_fields = {
         k: v for k, v in v1_values.items() if k not in _POST_V1_FIELDS
@@ -313,7 +315,7 @@ def test_fingerprints_pinned():
 
 
 @pytest.mark.parametrize(
-    "field", ["cluster_backend", "max_bucket", "driver_verify_max"]
+    "field", ["cluster_backend", "max_bucket", "driver_verify_max", "signer_concurrency"]
 )
 def test_deleted_config_fields_raise(field):
     """Deleted fields fail loudly instead of being silently ignored."""

@@ -1,6 +1,6 @@
-"""Size-guarded broadcast fallback: ``small_join`` / ``semi_filter_auto``
+"""Size-guarded broadcast fallback: ``small_join`` / ``semi_filter``
 must produce identical output whether the small side is broadcast
-(``ray.put`` + searchsorted lookup) or joined (bucketed hash join) —
+(``ray.put`` + ``member_probe`` lookup) or joined (bucketed hash join) —
 the guard only changes the execution plan, never the rows."""
 
 import numpy as np
@@ -9,7 +9,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from dedup.exchange import semi_filter_auto, small_join
+from dedup.exchange import semi_filter, small_join
 
 
 def _mk():
@@ -35,17 +35,31 @@ def _mk():
 
 
 def _norm(ds):
-    df = ds.to_pandas().sort_values(["k", "payload"]).reset_index(drop=True)
+    df = ds.to_pandas()
+    if df.empty:  # an empty result converts without its columns
+        return pd.DataFrame()
+    df = df.sort_values(["k", "payload"]).reset_index(drop=True)
     return df[sorted(df.columns)]
 
 
 def test_small_join_branches_identical_inner_and_left():
     ds, right, _ = _mk()
-    for how in ("inner", "left"):
-        a = _norm(small_join(ds, "k", right, "rk", how=how, max_broadcast_rows=10**9))
-        b = _norm(small_join(ds, "k", right, "rk", how=how, max_broadcast_rows=1))
-        pd.testing.assert_frame_equal(a, b)
-        assert len(a) > 0
+    assert (right["rk"].to_numpy() < 0).any()  # negative keys hit too
+    # a left side none of whose keys is in ``right``, alone and appended
+    miss = rd.from_arrow(
+        pa.table({"k": pa.array([-3, 5, -(2**63)], pa.int64()),
+                  "payload": pa.array([600, 601, 602], pa.int64())})
+    )
+    for left, n in ((ds, 600), (ds.union(miss), 603), (miss, 3)):
+        for r in (right, right.slice(0, 0)):  # and an empty right side
+            for how in ("inner", "left"):
+                a = _norm(small_join(left, "k", r, "rk", how=how, max_broadcast_rows=10**9))
+                b = _norm(small_join(left, "k", r, "rk", how=how, max_broadcast_rows=0))
+                pd.testing.assert_frame_equal(a, b)
+                if how == "left":
+                    assert len(a) == n
+                else:
+                    assert (len(a) > 0) == (n > 3 and len(r) > 0)
     # left keeps every input row; inner only the matched ones
     n_left = len(_norm(small_join(ds, "k", right, "rk", how="left", max_broadcast_rows=1)))
     n_inner = len(_norm(small_join(ds, "k", right, "rk", how="inner", max_broadcast_rows=1)))
@@ -60,11 +74,11 @@ def test_small_join_same_key_name():
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_semi_filter_auto_branches_identical():
+def test_semi_filter_branches_identical():
     ds, _, sub = _mk()
     for keep in (True, False):
-        a = _norm(semi_filter_auto(ds, "k", sub, keep=keep, max_broadcast_rows=10**9))
-        b = _norm(semi_filter_auto(ds, "k", sub, keep=keep, max_broadcast_rows=0))
+        a = _norm(semi_filter(ds, "k", sub, keep=keep, max_broadcast_rows=10**9))
+        b = _norm(semi_filter(ds, "k", sub, keep=keep, max_broadcast_rows=0))
         pd.testing.assert_frame_equal(a, b)
         assert len(a) > 0
 
@@ -148,8 +162,6 @@ def test_small_join_rejects_duplicate_right_keys():
     right side grows past the cap — both must be rejected loudly."""
     import ray.data as rd
 
-    from dedup.exchange import broadcast_map_i64, small_join
-
     ds = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
     dup = pa.table({"k": pa.array([1, 1], pa.int64()),
                     "v": pa.array([10, 11], pa.int64())})
@@ -157,9 +169,6 @@ def test_small_join_rejects_duplicate_right_keys():
         small_join(ds, "k", dup, "k")
     with pytest.raises(ValueError, match="duplicate"):
         small_join(ds, "k", dup, "k", max_broadcast_rows=1)
-    with pytest.raises(ValueError, match="duplicate"):
-        broadcast_map_i64(ds, "k", np.array([1, 1], np.int64),
-                          np.array([5, 6], np.int64), "out")
 
 
 def test_bucketed_sum_by_key_matches_numpy_reference():

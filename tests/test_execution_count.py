@@ -136,3 +136,43 @@ def test_forced_exchange_tier_runs_no_schema_probe(executions, monkeypatch):
     probes = [ops for ops in executions[1:] if "limit=1" in ops]
     assert not probes, probes
     assert executions[0] <= 23, executions[0]
+
+
+def test_forced_join_tiers_run_no_schema_probe(executions, monkeypatch):
+    """``exact_clusters``, ``latest_snapshot`` and ``jaccard_pairs`` with
+    both broadcast guards at 0, so every guarded lookup takes its join
+    tier: each join side is typed, and no ``limit=1`` schema probe runs.
+    ``exact_clusters`` again with no pin on the driver
+    (``_DRIVER_READ_MAX=-1``), where the cascade's two membership
+    filters join too."""
+    import pyarrow as pa
+
+    import dedup.exchange as ex
+    from dedup.jaccard import jaccard_pairs
+    from dedup.urls import latest_snapshot
+
+    snaps = pa.table(
+        {"url": ["u1", "u1", "u1", "u2", "u3", "u3"],
+         "ts_us": pa.array([100, 300, 200, 50, 10, 20], pa.int64()),
+         "text": ["a", "c", "b", "only", "x", "y"]}
+    )
+    docs = pa.table(
+        {"doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+         "text": ["a b c d e f g h", "a b c d e f g x", "q r s t u v w z",
+                  "q r s t u v w y", "m n o p q r s t u v"]}
+    )
+    cfg = DedupConfig(min_size=1, broadcast_max_rows=0)
+    monkeypatch.setattr(ex, "BROADCAST_MAX_ROWS", 0)
+
+    def counted(run, bound):
+        before = executions[0]
+        assert len(run()) > 0
+        probes = [ops for ops in executions[1 + before:] if "limit=1" in ops]
+        assert not probes, probes
+        assert executions[0] - before <= bound, executions[0] - before
+
+    counted(lambda: collect_table(exact_clusters(_pages(), cfg)), 2)
+    counted(lambda: collect_table(latest_snapshot(rd.from_arrow(snaps))), 4)
+    counted(lambda: jaccard_pairs(rd.from_arrow(docs), k=5), 5)
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    counted(lambda: collect_table(exact_clusters(_pages(), cfg)), 5)

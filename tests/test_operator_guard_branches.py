@@ -1,11 +1,13 @@
 """Operator-level branch equivalence for the size-guarded exchanges.
 
-Each operator that attaches a dup-bounded map does so through
-``exchange.broadcast_map_i64`` / ``small_join`` / ``semi_filter_auto``,
-whose broadcast branch flips to a bucketed join past
-``BROADCAST_MAX_ROWS``. These tests force the join branch (cap = 0)
-and assert the operator output is identical to the broadcast branch —
-pinning that no call site depends on broadcast-only behavior.
+Each operator that attaches a dup-bounded set or map does so through
+``exchange.small_join`` or ``semi_filter``, whose broadcast branch flips
+to a bucketed join past the guard. The guard comes from
+``DedupConfig.broadcast_max_rows`` where the operator takes a config and
+from ``exchange.BROADCAST_MAX_ROWS`` otherwise. These tests force both
+to 0, check with a ``bucketed_join`` spy that the join branch really
+ran, and assert the operator output is identical to the broadcast
+branch — pinning that no call site depends on broadcast-only behavior.
 """
 
 import pandas as pd
@@ -34,17 +36,27 @@ def _pages():
 
 
 def _both_branches(run, monkeypatch):
-    a = _norm(run())
+    """``run(cfg)`` with the default guards, then with both guards at 0:
+    the first run takes no join, the forced one at least one."""
+    joins = []
+    join = ex.bucketed_join
+
+    def spy(*args, **kwargs):
+        joins.append(args[2:4])
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "bucketed_join", spy)
+    a = _norm(run(DedupConfig(min_size=1)))
+    assert not joins, joins
     monkeypatch.setattr(ex, "BROADCAST_MAX_ROWS", 0)
-    b = _norm(run())
+    b = _norm(run(DedupConfig(min_size=1, broadcast_max_rows=0)))
+    assert joins, "the forced run took no join tier"
     return a, b
 
 
 def test_exact_clusters_branches_identical(monkeypatch):
     tbl = _pages()
-    run = lambda: exact_clusters(
-        rd.from_arrow(tbl), DedupConfig(min_size=1)
-    ).to_pandas()
+    run = lambda cfg: exact_clusters(rd.from_arrow(tbl), cfg).to_pandas()
     a, b = _both_branches(run, monkeypatch)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
@@ -52,8 +64,8 @@ def test_exact_clusters_branches_identical(monkeypatch):
 
 def test_simhash_clusters_branches_identical(monkeypatch):
     tbl = _pages()
-    run = lambda: simhash_clusters(
-        rd.from_arrow(tbl), DedupConfig(min_size=1), hamming_max=3
+    run = lambda cfg: simhash_clusters(
+        rd.from_arrow(tbl), cfg, hamming_max=3
     ).to_pandas()
     a, b = _both_branches(run, monkeypatch)
     assert len(a) > 0
@@ -68,7 +80,7 @@ def test_latest_snapshot_branches_identical(monkeypatch):
             "text": pa.array(["a", "c", "b", "only", "x", "y"]),
         }
     )
-    run = lambda: latest_snapshot(rd.from_arrow(t), "url", "ts_us").to_pandas()
+    run = lambda cfg: latest_snapshot(rd.from_arrow(t), "url", "ts_us").to_pandas()
     a, b = _both_branches(run, monkeypatch)
     assert a["n_snapshots"].tolist() == b["n_snapshots"].tolist()
     pd.testing.assert_frame_equal(a, b)
@@ -91,7 +103,7 @@ def test_jaccard_pairs_branches_identical(monkeypatch):
             ),
         }
     )
-    run = lambda: jaccard_pairs(
+    run = lambda cfg: jaccard_pairs(
         rd.from_arrow(t), k=5, threshold_num=1, threshold_den=2
     ).to_pandas()
     a, b = _both_branches(run, monkeypatch)

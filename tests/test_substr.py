@@ -214,19 +214,19 @@ def test_join_path_with_sampling_matches_broadcast_sampling():
 def test_member_table_prefilter_matches_searchsorted():
     import numpy as np
 
-    from dedup.substr import _member_sorted, _member_table
+    from dedup.exchange import member_probe, member_table
 
     rng = np.random.default_rng(3)
     h = rng.integers(-(1 << 62), 1 << 62, 50_000).astype(np.int64)
     d = np.sort(rng.choice(h, 700, replace=False))
-    tbl = _member_table(d)
-    got = _member_sorted(d, tbl, h)
+    tbl = member_table(d)
+    got = member_probe(d, tbl, h)
     idx = np.minimum(np.searchsorted(d, h), len(d) - 1)
     want = d[idx] == h
     assert np.array_equal(got, want)
     # empty set: nothing is a member
-    assert not _member_sorted(
-        np.empty(0, np.int64), _member_table(np.empty(0, np.int64)), h
+    assert not member_probe(
+        np.empty(0, np.int64), member_table(np.empty(0, np.int64)), h
     ).any()
 
 
