@@ -246,7 +246,8 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
     Two executions while the signatures fit the memory tier (module
     doc): the ingest pin (``dup_keys`` reads it with no execution) and
     the signature pin; the sig and band files and the Bloom sidecar are then
-    written from memory. Past the guard Ray Data writes them. A corpus
+    written from memory. Past the guard Ray Data writes them, and the
+    Bloom sidecar is built over the signature pin. A corpus
     with no rows still gives a typed, empty index.
 
     Writes to ``<index_dir>.tmp`` then renames, so a killed build never
@@ -278,7 +279,7 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
     if st is None:
         _append(sigs, sigs_dir)
         _append(band_rows(sigs, cfg), bands_dir)
-        write_bloom_sidecar(tmp)
+        write_bloom_sidecar(tmp, docs=sigs)
     else:
         _append(st, sigs_dir)
         _append(Bander(cfg)(st), bands_dir)

@@ -31,7 +31,7 @@ import pyarrow as pa
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
-from .exchange import collect_table, join_typed, semi_filter, small_join
+from .exchange import collect_table, join_typed, pinned_table, semi_filter, small_join
 from .hashing import U64, fmix64
 from .minhash import DEFAULT_TOKEN_HASH, _hash_tokens
 from .textstats import _tokenize
@@ -168,8 +168,16 @@ def jaccard_pairs(
 
     # shingle counts are only needed for candidate-pair endpoints, a
     # dup-bounded set — never ship the corpus-cardinality count table.
-    pp = collect_table(inter.select_columns(["pa", "pb"])) if inter.count() else None
-    if pp is not None:
+    # the pinned pairs are read from their blocks; a pin past the
+    # driver-read guard is collected instead (one execution)
+    i64 = pa.int64()
+    pp = pinned_table(inter, ["pa", "pb"])
+    if pp is None:
+        pp = collect_table(
+            inter.select_columns(["pa", "pb"]),
+            schema=pa.schema([("pa", i64), ("pb", i64)]),
+        )
+    if pp.num_rows:
         cand = np.unique(
             np.concatenate(
                 [
@@ -180,7 +188,6 @@ def jaccard_pairs(
         )
     else:
         cand = np.empty(0, np.int64)
-    i64 = pa.int64()
     counts = pa.schema([("doc", i64), ("n", i64)])
     if len(cand):
         sub = collect_table(

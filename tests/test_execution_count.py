@@ -107,6 +107,22 @@ def test_build_index_executions(executions, tmp_path):
     assert executions[0] <= 2, executions[0]
 
 
+def test_build_index_forced_tier_executions(executions, tmp_path, monkeypatch):
+    """With no pin on the driver (``_DRIVER_READ_MAX=-1``): the ingest
+    pin, its dup count, the signature pin, the sig and band writes, and
+    the Bloom build over the signature pin, which reads no written
+    file back."""
+    import dedup.exchange as ex
+    from dedup.incremental import build_index
+
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    mf = build_index(_pages(), DedupConfig(min_size=1), str(tmp_path / "index"))
+    assert mf["n_docs"] > 0
+    reads = [ops for ops in executions[1:] if any("ReadParquet" in o for o in ops)]
+    assert not reads, reads
+    assert executions[0] <= 6, executions[0]
+
+
 def test_long_span_pairs_executions(executions):
     """Ingest, reps and signature pins and the caller's collect: edges
     come from the engine's memory tier and the texts attach from the
@@ -173,6 +189,6 @@ def test_forced_join_tiers_run_no_schema_probe(executions, monkeypatch):
 
     counted(lambda: collect_table(exact_clusters(_pages(), cfg)), 2)
     counted(lambda: collect_table(latest_snapshot(rd.from_arrow(snaps))), 4)
-    counted(lambda: jaccard_pairs(rd.from_arrow(docs), k=5), 5)
+    counted(lambda: jaccard_pairs(rd.from_arrow(docs), k=5), 4)
     monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
     counted(lambda: collect_table(exact_clusters(_pages(), cfg)), 5)
