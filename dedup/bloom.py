@@ -339,16 +339,16 @@ def _auto_shards(n_expected: int, fpp: float) -> int:
 
 def write_bloom_sidecar(
     index_dir: str,
+    docs: Dataset,
     fpp: float = 0.01,
     col: str = "doc_hash",
     n_shards: int | None = None,
-    docs: Dataset | None = None,
 ) -> str:
     """Build the Bloom sidecar for a persisted incremental index
-    (dedup/incremental.py layout). Idempotent; ``update_index`` appends
-    into it in place (superset-first ordering, see incremental.py).
-    ``docs`` holds the keys in ``col`` (``build_index`` passes its
-    signature pin); by default the index's ``sigs/`` files are read.
+    (dedup/incremental.py layout) over the keys in ``docs[col]``
+    (``build_index`` passes its signature pin). Idempotent;
+    ``update_index`` appends into it in place (superset-first ordering,
+    see incremental.py).
 
     Layouts (``read_bloom_sidecar`` handles both):
     - single-file ``bloom.bin`` when one shard suffices (small corpora);
@@ -358,10 +358,6 @@ def write_bloom_sidecar(
       past the in-memory filter, and a probe can load shard files
       selectively. ``n_shards=None`` auto-sizes shards to ~64 MiB.
     """
-    if docs is None:
-        import ray.data as rd
-
-        docs = rd.read_parquet(os.path.join(index_dir, "sigs"), columns=[col])
     n = docs.count()
     S = _auto_shards(n, fpp) if n_shards is None else max(1, int(n_shards))
     if S == 1:

@@ -248,9 +248,6 @@ def xxh64_bytes_many(
     starts = np.asarray(starts, dtype=np.int64)
 
     with np.errstate(over="ignore"):
-        if int(lengths.max()) < 32:
-            # token hashing: virtually every token
-            return _xxh64_short(values, starts, lengths, seed)
         short = lengths < 32
         if short.any():
             out[short] = _xxh64_short(values, starts[short], lengths[short], seed)

@@ -279,7 +279,7 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
     if st is None:
         _append(sigs, sigs_dir)
         _append(band_rows(sigs, cfg), bands_dir)
-        write_bloom_sidecar(tmp, docs=sigs)
+        write_bloom_sidecar(tmp, sigs)
     else:
         _append(st, sigs_dir)
         _append(Bander(cfg)(st), bands_dir)

@@ -168,15 +168,8 @@ def jaccard_pairs(
 
     # shingle counts are only needed for candidate-pair endpoints, a
     # dup-bounded set — never ship the corpus-cardinality count table.
-    # the pinned pairs are read from their blocks; a pin past the
-    # driver-read guard is collected instead (one execution)
-    i64 = pa.int64()
-    pp = pinned_table(inter, ["pa", "pb"])
-    if pp is None:
-        pp = collect_table(
-            inter.select_columns(["pa", "pb"]),
-            schema=pa.schema([("pa", i64), ("pb", i64)]),
-        )
+    # the candidate pairs are read from the pin's blocks (no execution)
+    pp = pinned_table(inter, ["pa", "pb"], max_rows=inter.count())
     if pp.num_rows:
         cand = np.unique(
             np.concatenate(
@@ -188,6 +181,7 @@ def jaccard_pairs(
         )
     else:
         cand = np.empty(0, np.int64)
+    i64 = pa.int64()
     counts = pa.schema([("doc", i64), ("n", i64)])
     if len(cand):
         sub = collect_table(

@@ -17,6 +17,11 @@ def _keys(seed, n):
     return np.random.default_rng(seed).integers(0, 2**63, size=n, dtype=np.int64)
 
 
+def _sig_keys(idx):
+    """The ``doc_hash`` column of an index's ``sigs/`` files."""
+    return rd.read_parquet(f"{idx}/sigs", columns=["doc_hash"])
+
+
 def test_no_false_negatives_and_fpp_bounded():
     added = _keys(0, 20_000)
     other = _keys(1, 20_000)
@@ -83,7 +88,7 @@ def test_sidecar_roundtrip(tmp_path):
     pq.write_table(
         pa.table({"doc_hash": pa.array(keys, pa.int64())}), idx / "sigs" / "part0.parquet"
     )
-    path = write_bloom_sidecar(str(idx), fpp=0.01)
+    path = write_bloom_sidecar(str(idx), _sig_keys(idx), fpp=0.01)
     f = read_bloom_sidecar(str(idx))
     assert path.endswith("bloom.bin")
     assert f.contains_many(keys).all()
@@ -119,7 +124,7 @@ def test_sidecar_from_keys_matches_distributed_build(tmp_path, monkeypatch):
             pa.table({"doc_hash": pa.array(keys, pa.int64())}),
             dist / "sigs" / "part0.parquet",
         )
-        bl.write_bloom_sidecar(str(dist))
+        bl.write_bloom_sidecar(str(dist), _sig_keys(dist))
         bl.write_bloom_sidecar_keys(str(mem), keys)
         assert sidecar_bytes(str(dist)) == sidecar_bytes(str(mem)), shards
         assert (len(sidecar_bytes(str(mem))) > 1) == shards
@@ -144,7 +149,7 @@ def test_sidecar_rebuild_sharded_to_single_removes_stale_shards(tmp_path):
         pa.table({"doc_hash": pa.array(keys, pa.int64())}),
         idx / "sigs" / "part0.parquet",
     )
-    write_bloom_sidecar(str(idx), n_shards=4)
+    write_bloom_sidecar(str(idx), _sig_keys(idx), n_shards=4)
     assert os.path.exists(idx / "bloom.d" / "meta.json")
     # more sig rows arrive outside update_index; operator rebuilds single-file
     more = _keys(12, 1_000)
@@ -152,7 +157,7 @@ def test_sidecar_rebuild_sharded_to_single_removes_stale_shards(tmp_path):
         pa.table({"doc_hash": pa.array(more, pa.int64())}),
         idx / "sigs" / "part1.parquet",
     )
-    path = write_bloom_sidecar(str(idx), n_shards=1)
+    path = write_bloom_sidecar(str(idx), _sig_keys(idx), n_shards=1)
     assert path.endswith("bloom.bin")
     assert not os.path.exists(idx / "bloom.d")
     f = read_bloom_sidecar(str(idx))
@@ -301,7 +306,7 @@ def test_sharded_sidecar_roundtrip_and_update(tmp_path):
     # re-write the sidecar SHARDED and run against it
     from dedup.bloom import read_bloom_sidecar, write_bloom_sidecar
 
-    write_bloom_sidecar(idx, n_shards=4)
+    write_bloom_sidecar(idx, _sig_keys(idx), n_shards=4)
     assert os.path.exists(os.path.join(idx, "bloom.d", "meta.json"))
     assert not os.path.exists(os.path.join(idx, "bloom.bin"))
     assert isinstance(read_bloom_sidecar(idx), ShardedBloom)

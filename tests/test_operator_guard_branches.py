@@ -109,6 +109,3 @@ def test_jaccard_pairs_branches_identical(monkeypatch):
     a, b = _both_branches(run, monkeypatch)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
-    # candidate pairs collected instead of read from their pin
-    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
-    pd.testing.assert_frame_equal(a, _norm(run(None)))
