@@ -34,13 +34,16 @@ shuffles an order of magnitude smaller:
    by component. A bucket's members are star-connected by
    construction, so a bucket never spans two components and the
    per-component bucket structure equals the global one.
-4. **Regen + verify in place** — each group re-derives its docs' keys
-   (deterministic from the rows), emits the exact per-bucket pair set
-   (``lsh.segment_pairs``: all-pairs ≤ ``cfg.allpairs_bucket_max``,
-   bucket-min stars beyond; the in-group ``unique`` IS the global exact
-   pair dedup), and runs the kernel's check against the group's own
-   rows. No pair shuffle, no broadcast signature matrix: a component's
-   rows travel once, to the group that needs them.
+4. **Regen + verify + label in place** — each group re-derives its
+   docs' keys (deterministic from the rows), emits the exact per-bucket
+   pair set (``lsh.segment_pairs``: all-pairs ≤
+   ``cfg.allpairs_bucket_max``, bucket-min stars beyond; the in-group
+   ``unique`` IS the global exact pair dedup), runs the kernel's check
+   against the group's own rows, and (``component_labels``) labels the
+   kept edges with ``components_np`` — a verified component lies inside
+   one star component, so the group's labels are the global ones.
+   No pair shuffle, no broadcast signature matrix: a component's rows
+   travel once, to the group that needs them.
 
 The output is batch-split-INVARIANT, where per-band emission over
 sorted blocks depended on where block boundaries happened to fall:
@@ -88,10 +91,11 @@ EDGES_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("sim", pa.float64())]
 )
 
-_EMPTY_EDGES = pa.table(
-    {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-     "sim": pa.array([], pa.float64())}
+LABELS_SCHEMA = pa.schema(
+    [("node", pa.int64()), ("label", pa.int64()), ("deg", pa.int64())]
 )
+
+_EMPTY_EDGES = EDGES_SCHEMA.empty_table()
 
 
 class Kernel(NamedTuple):
@@ -289,6 +293,50 @@ def memory_verified_edges(
     kernel = kernel or minhash_kernel(cfg)
     t = pinned_table(sigs, kernel.cols)
     return None if t is None else _verify_group(t, cfg, kernel)
+
+
+def _label_group(g: pa.Table, cfg: DedupConfig, kernel: Kernel) -> pa.Table:
+    """``components_np`` over one group's ``_verify_group`` edges →
+    (node, label, deg), ``deg`` the node's kept-edge count. The labels
+    are global: a verified edge lies inside one bucket, a bucket inside
+    one star component, and a group holds whole star components."""
+    from .unionfind import components_np
+
+    e = _verify_group(g, cfg, kernel)
+    a = e.column("a").to_numpy(zero_copy_only=False)
+    b = e.column("b").to_numpy(zero_copy_only=False)
+    nodes, labels = components_np(a, b)
+    # nodes come back sorted: each endpoint's slot is a binary search
+    deg = np.bincount(
+        np.searchsorted(nodes, np.concatenate([a, b])), minlength=len(nodes)
+    )
+    return pa.table([nodes, labels, deg], schema=LABELS_SCHEMA)
+
+
+def component_labels(
+    sigs: Dataset, cfg: DedupConfig, kernel: Kernel | None = None
+) -> "pa.Table | Dataset":
+    """Rows → (node, label, deg) components of their verified edges
+    (``_label_group``; label = the component's uint64-min member).
+    ``kernel`` defaults to ``minhash_kernel(cfg)``. Tiers: a pin within
+    ``pinned_table``'s guard is labeled as ONE driver group (an Arrow
+    table, no execution); otherwise star pass → components → per-group
+    regen + verify + label, read onto the driver while the labels fit
+    ``cfg.broadcast_max_rows``, else a Dataset with a recorded schema."""
+    kernel = kernel or minhash_kernel(cfg)
+    t = pinned_table(sigs, kernel.cols)
+    if t is not None:
+        return _label_group(t, cfg, kernel)
+    tagged, n_stars = _tagged_sig_rows(sigs, cfg, kernel)
+    if tagged is None:
+        return LABELS_SCHEMA.empty_table()
+    labels = ensure_schema(
+        _grouped(tagged, cfg, lambda g: _label_group(g, cfg, kernel),
+                 n_cand_hint=2 * n_stars),
+        LABELS_SCHEMA,
+    ).materialize()
+    t = pinned_table(labels, LABELS_SCHEMA.names, max_rows=cfg.broadcast_max_rows)
+    return labels if t is None else t
 
 
 def _sig_cols(cfg: DedupConfig) -> list[str]:

@@ -67,58 +67,71 @@ def knn_cosine(
     Self-matches are excluded; ties break on ascending neighbor id
     (deterministic, matches the oracle's ORDER BY sim DESC, id ASC).
     """
+    q = _query_rows(embeddings, query_ids, id_col, emb_col)
+    if q is None:
+        return _NO_NEIGHBORS.copy()
+    return _topk_search(embeddings, q, k, id_col, emb_col)
+
+
+def _query_rows(
+    embeddings: Dataset, query_ids: list[int], id_col: str, emb_col: str
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The query rows of ``embeddings`` → (ids ascending, int64; their
+    normalized (m, d) matrix), or None when no query id is present."""
     qset = sorted(set(int(q) for q in query_ids))
-    qtbl_batches = []
+    qb = []
     for b in embeddings.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
         ids = b.column(id_col).to_numpy(zero_copy_only=False)
-        mask = np.isin(ids, qset)
-        if mask.any():
-            qtbl_batches.append(b.filter(pa.array(mask)))
-    if not qtbl_batches:
-        return pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
-    qt = pa.concat_tables(qtbl_batches)
-    q_ids = qt.column(id_col).to_numpy(zero_copy_only=False)
+        m = np.isin(ids, qset)
+        if m.any():
+            qb.append(b.filter(pa.array(m)))
+    if not qb:
+        return None
+    qt = pa.concat_tables(qb)
+    q_ids = qt.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(q_ids)
-    q_ids = q_ids[order]
-    Q = _normalize(_emb_matrix(qt, emb_col))[order]  # (m, d)
-    ref = ray.put((q_ids, Q))
+    return q_ids[order], _normalize(_emb_matrix(qt, emb_col))[order]
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+
+def _topk_search(
+    embeddings: Dataset, q: tuple, k: int, id_col: str, emb_col: str,
+    cells: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> pd.DataFrame:
+    """Top-``k`` neighbors of the ``_query_rows`` queries ``q`` →
+    DataFrame(query_id, neighbor_id, rank): each batch emits its local
+    top-k per query (the combiner; a query never matches itself), the
+    driver merges the tiny candidate sets under (sim DESC, neighbor id
+    ASC). ``cells`` = (centroids, (m, n_probe) probe cells) restricts
+    each query to the rows of its probe cells (IVF)."""
+    ref = ray.put((q, cells))
+
+    def local(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:  # zero-row blocks carry no inferable dim
             return _QNS_EMPTY
-        qids, Qm = ray.get(ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        (qids, Qm), cells = ray.get(ref)
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         X = _normalize(_emb_matrix(batch, emb_col))
         sims = X @ Qm.T  # (n, m)
-        out_q, out_n, out_s = [], [], []
+        if cells is not None:
+            cell = np.argmax(X @ cells[0].T, axis=1)
+            in_probe = (cell[:, None, None] == cells[1][None]).any(axis=2)
+        out = []
         for j in range(len(qids)):
-            s = sims[:, j]
             valid = ids != qids[j]
+            if cells is not None:
+                valid &= in_probe[:, j]
             cand = np.nonzero(valid)[0]
-            if len(cand) == 0:
-                continue
-            kk = min(k, len(cand))
-            top = _topk_idx_tiebreak(cand, s, ids, kk)
-            out_q.append(np.full(kk, qids[j], np.int64))
-            out_n.append(ids[top].astype(np.int64))
-            out_s.append(s[top])
-        if not out_q:
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()), "neighbor_id": pa.array([], pa.int64()),
-                 "sim": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
-                "sim": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
+            if len(cand):
+                top = _topk_idx_tiebreak(cand, sims[:, j], ids, min(k, len(cand)))
+                out.append(pa.table(
+                    [np.full(len(top), qids[j], np.int64), ids[top], sims[top, j]],
+                    schema=_QNS_EMPTY.schema,
+                ))
+        return pa.concat_tables(out) if out else _QNS_EMPTY
 
-    parts = embeddings.map_batches(local_topk, batch_format="pyarrow")
-    df = parts.to_pandas()  # ≤ k rows per (batch, query) — tiny
+    df = embeddings.map_batches(local, batch_format="pyarrow").to_pandas()
     if df.empty:
-        return pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
+        return _NO_NEIGHBORS.copy()
     df = df.sort_values(
         ["query_id", "sim", "neighbor_id"], ascending=[True, False, True]
     )
@@ -220,6 +233,8 @@ _QNS_EMPTY = pa.table(
      "neighbor_id": pa.array([], pa.int64()),
      "sim": pa.array([], pa.float64())}
 )
+
+_NO_NEIGHBORS = pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
 
 _PAIRS_EMPTY = pa.table(
     {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
@@ -445,64 +460,11 @@ def ivf_search(
     → DataFrame(query_id, neighbor_id, rank), same shape as knn_cosine.
     """
     C = ivf_build(embeddings, n_centroids=n_centroids, emb_col=emb_col, id_col=id_col)
-    cref = ray.put(C)
-
-    # query vectors + their probe cells
-    qset = sorted(set(int(q) for q in query_ids))
-    qb = []
-    for b in embeddings.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
-        ids = b.column(id_col).to_numpy(zero_copy_only=False)
-        m = np.isin(ids, qset)
-        if m.any():
-            qb.append(b.filter(pa.array(m)))
-    if not qb:
-        return pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
-    qt = pa.concat_tables(qb)
-    q_ids = qt.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    Q = _normalize(_emb_matrix(qt, emb_col))
-    probes = np.argsort(-(Q @ C.T), axis=1)[:, :n_probe]  # (m, n_probe)
-    qref = ray.put((q_ids, Q, probes))
-
-    def local(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _QNS_EMPTY
-        Cm = ray.get(cref)
-        qids, Qm, qprobes = ray.get(qref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        X = _normalize(_emb_matrix(batch, emb_col))
-        cell = np.argmax(X @ Cm.T, axis=1)
-        sims = X @ Qm.T
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids)):
-            in_probe = np.isin(cell, qprobes[j])
-            in_probe &= ids != qids[j]
-            cand = np.nonzero(in_probe)[0]
-            if not len(cand):
-                continue
-            kk = min(k, len(cand))
-            top = _topk_idx_tiebreak(cand, sims[:, j], ids, kk)
-            out_q.append(np.full(kk, qids[j], np.int64))
-            out_n.append(ids[top])
-            out_s.append(sims[top, j])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
-                "sim": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
-
-    df = embeddings.map_batches(local, batch_format="pyarrow").to_pandas()
-    if df.empty:
-        return pd.DataFrame({"query_id": [], "neighbor_id": [], "rank": []})
-    df = df.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    out = df[df["rank"] <= k][["query_id", "neighbor_id", "rank"]].reset_index(drop=True)
-    return out.astype({"query_id": "int64", "neighbor_id": "int64", "rank": "int64"})
+    q = _query_rows(embeddings, query_ids, id_col, emb_col)
+    if q is None:
+        return _NO_NEIGHBORS.copy()
+    probes = np.argsort(-(q[1] @ C.T), axis=1)[:, :n_probe]  # (m, n_probe)
+    return _topk_search(embeddings, q, k, id_col, emb_col, cells=(C, probes))
 
 
 def lsh_bucketed_pairs(

@@ -2,10 +2,10 @@
 
     pages ─ingest→ P1(url,text,identity cols)
           ─distinct-content reps→ sign (MinHash actor pool) → P3 signatures
-          ─candidates (band keys → components → per-group pairs checked
-             by signature agreement, dedup/candidates.py)→ P4 edges
-          ─components (driver components_np while the edges fit the
-             broadcast guard, label propagation past it)→ cluster map
+          ─candidates (band keys → star components → per-group pairs
+             checked by signature agreement and labeled with
+             components_np in the same group, dedup/candidates.py)
+             → P4 labels (node, label, deg)
           ─assign + count (broadcast lookups, or bucketed joins past the
              guard)→ clusters table
 
@@ -30,6 +30,7 @@ from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import (
+    collect_table,
     dup_key_counts,
     dup_keys,
     ensure_schema,
@@ -266,10 +267,11 @@ def _sign_distinct_fused(
 @dataclass
 class NearDupResult:
     clusters: Dataset  # CLUSTERS schema (+ redundant not included here)
-    # verified pairs (a, b, sim): an Arrow table when the edge count fits
-    # cfg.broadcast_max_rows (driver components), otherwise a Dataset
-    # (label propagation; the edges never transit the driver)
-    edges: "pa.Table | Dataset"
+    # components of the verified edges (node, label, deg) — see
+    # candidates.component_labels: an Arrow table when they fit
+    # cfg.broadcast_max_rows, otherwise a Dataset (they never transit
+    # the driver)
+    labels: "pa.Table | Dataset"
     # the pinned P1 ingest Dataset — downstream consumers (near_dup_corpus)
     # reuse it instead of re-running ingest. NARROW on the no-checkpoint
     # path (url, lang, size_bytes, doc_hash, short_hash — no text; the
@@ -278,7 +280,11 @@ class NearDupResult:
     ingested: Dataset | None = None
 
     def n_edges(self) -> int:
-        return self.edges.count() if isinstance(self.edges, Dataset) else len(self.edges)
+        """Verified edge count: Σdeg / 2."""
+        if isinstance(self.labels, Dataset):
+            return int(self.labels.sum("deg") or 0) // 2
+        deg = self.labels.column("deg").to_numpy(zero_copy_only=False)
+        return int(deg.sum()) // 2
 
 
 def near_dup_pipeline(
@@ -370,84 +376,58 @@ def near_dup_pipeline(
         e.startswith("write:p3_signatures") for e in checkpoint.events
     ):
         # lineage: a rebuilt upstream invalidates derived stages
-        checkpoint.invalidate("p4_edges")
+        checkpoint.invalidate("p4_labels")
 
-    # verified edges (dedup/candidates.py): small pinned signatures
-    # verify as one group on the driver (memory tier, no execution);
-    # otherwise star pass → components → per-component regen + signature
-    # agreement (and exact-mode set-hash equality), checked where the
-    # pairs are born. The edge set is dup-bounded, so while it fits the
-    # broadcast guard it is read onto the driver for ``components_np``;
-    # past the guard it stays a Dataset for label propagation and the
-    # exchange tier of the assignment.
-    from .candidates import (
-        EDGES_SCHEMA,
-        component_verified_edges,
-        memory_verified_edges,
-    )
-    from .exchange import collect_table, pinned_table
+    # components of the verified edges (dedup/candidates.py), labeled
+    # inside the groups that verify them: an Arrow table while they fit
+    # the broadcast guard, a Dataset past it
+    from .candidates import LABELS_SCHEMA, component_labels
 
     if checkpoint is not None:
-        edges = checkpoint.load_or_run(
-            "p4_edges", lambda: component_verified_edges(sigs, cfg)
-        )
-        if edges.count() <= cfg.broadcast_max_rows:
-            edges = collect_table(edges, schema=EDGES_SCHEMA)
+
+        def labels_ds() -> Dataset:
+            lab = component_labels(sigs, cfg)
+            return rd.from_arrow(lab) if isinstance(lab, pa.Table) else lab
+
+        labels = checkpoint.load_or_run("p4_labels", labels_ds)
+        if labels.count() <= cfg.broadcast_max_rows:
+            labels = collect_table(labels, schema=LABELS_SCHEMA)
     else:
-        edges = memory_verified_edges(sigs, cfg)
-        if edges is None:
-            pinned = component_verified_edges(sigs, cfg).materialize()
-            edges = pinned_table(
-                pinned, EDGES_SCHEMA.names, max_rows=cfg.broadcast_max_rows
-            )
-            edges = pinned if edges is None else edges
-    tick("candidates+verify")
-
-    if isinstance(edges, Dataset):
-        from .unionfind import label_propagation
-
-        comps = label_propagation(
-            edges.select_columns(["a", "b"]), n_buckets=cfg.join_buckets
-        )
-    else:
-        from .unionfind import components_np
-
-        comps = components_np(
-            edges.column("a").to_numpy(zero_copy_only=False),
-            edges.column("b").to_numpy(zero_copy_only=False),
-        )
-    clusters = assign_clusters(ing, comps, dup_hashes, dup_cnts, cfg)
-    tick("components+assign")
-    return NearDupResult(clusters=clusters, edges=edges, ingested=ing)
+        labels = component_labels(sigs, cfg)
+    tick("candidates+verify+components")
+    clusters = assign_clusters(ing, labels, dup_hashes, dup_cnts, cfg)
+    tick("assign")
+    return NearDupResult(clusters=clusters, labels=labels, ingested=ing)
 
 
 def assign_clusters(
     ing: Dataset,
-    comps: "tuple[np.ndarray, np.ndarray] | Dataset",
+    labels: "pa.Table | Dataset",
     dup_hashes: np.ndarray,
     dup_cnts: np.ndarray,
     cfg: DedupConfig,
     schema: pa.Schema = CLUSTERS,
 ) -> Dataset:
     """Cluster assignment shared by the flagship and SimHash: ingest
-    rows + connected components + the url count per duplicated hash
+    rows + component labels + the url count per duplicated hash
     (``dup_key_counts(ing, "doc_hash")``) → clusters of ≥2 urls, with
     the columns of ``schema`` (CLUSTERS by default; SimHash drops
     ``size_bytes``). Typed even when no row survives (an empty or
     all-null corpus).
 
-    ``comps`` is ``(keys, cids)`` from ``components_np`` (driver tier)
-    or a ``(node, label)`` Dataset from ``label_propagation`` (exchange
-    tier). Either tier builds a node → (cluster_id, cluster_size) map
-    from state already in hand: url count per doc_hash is 1 unless the
-    hash is in the (small) duplicated set, a cluster's url count is the
-    sum over its member hashes, and exact-dup-only groups (hashes no
-    edge touches) are their own clusters. The map holds only clusters
-    of ≥2 urls, so ONE inner join of the corpus onto it is also the
-    singleton filter: a guarded small-side join
-    (``exchange.small_join`` — a ray.put broadcast lookup while the
-    dup-bounded map fits cfg.broadcast_max_rows, a bucketed hash join
-    past it) on the driver tier, a bucketed join on the exchange tier."""
+    ``labels`` holds ``(node, label)`` rows, as
+    ``candidates.component_labels`` returns them: an Arrow table (driver
+    tier) or a Dataset past the broadcast guard (exchange tier). Either
+    tier builds a node → (cluster_id, cluster_size) map from state
+    already in hand: url count per doc_hash is 1 unless the hash is in
+    the (small) duplicated set, a cluster's url count is the sum over
+    its member hashes, and exact-dup-only groups (hashes no edge
+    touches) are their own clusters. The map holds only clusters of ≥2
+    urls, so ONE inner join of the corpus onto it is also the singleton
+    filter: a guarded small-side join (``exchange.small_join`` — a
+    ray.put broadcast lookup while the dup-bounded map fits
+    cfg.broadcast_max_rows, a bucketed hash join past it) on the driver
+    tier, a bucketed join on the exchange tier."""
     from .exchange import bucketed_join, small_join
 
     carried = [c for c in schema.names if c not in ("cluster_id", "cluster_size")]
@@ -455,14 +435,14 @@ def assign_clusters(
     # a join reads this side's schema: typed, that costs no ``limit=1``
     # execution of the upstream plan (and an empty ingest pin has none)
     typed = pa.schema([schema.field(c) for c in carried])
-    if isinstance(comps, Dataset):
+    if isinstance(labels, Dataset):
         joined = bucketed_join(
             ensure_schema(narrow, typed),
-            _node_map_exchange(comps, dup_hashes, dup_cnts, cfg),
+            _node_map_exchange(labels, dup_hashes, dup_cnts, cfg),
             "doc_hash", "__node", n_buckets=cfg.join_buckets,
         )
     else:
-        node_map = _node_map(*comps, dup_hashes, dup_cnts)
+        node_map = _node_map(labels, dup_hashes, dup_cnts)
         joined = small_join(
             join_typed(narrow, typed, len(node_map), cfg.broadcast_max_rows),
             "doc_hash", node_map, "__node", how="inner",
@@ -475,9 +455,12 @@ def assign_clusters(
 
 
 def _node_map(
-    keys: np.ndarray, cids: np.ndarray, dup_hashes: np.ndarray, dup_cnts: np.ndarray
+    labels: pa.Table, dup_hashes: np.ndarray, dup_cnts: np.ndarray
 ) -> pa.Table:
     """The driver tier's (__node, cluster_id, cluster_size) map."""
+    keys, cids = (
+        labels.column(c).to_numpy(zero_copy_only=False) for c in ("node", "label")
+    )
     # url count per member hash: 1 unless the hash is exact-duplicated
     kc = np.ones(len(keys), np.int64)
     if len(dup_hashes) and len(keys):

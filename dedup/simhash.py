@@ -15,16 +15,18 @@ default) collapses past ~4M docs: mean bucket size exceeds
 member-pair recall silently dies. Verified by exact Hamming distance,
 clustered with union-find.
 
-Pairs are found and verified by the candidate engine
-(``candidates.py``) with the SimHash kernel (``simhash_kernel``):
-block-combination keys (``_block_keys``) at the ``_block_scheme`` rung,
-Hamming distance ≤ ``hamming_max`` as the check. Its memory tier reads
-a pinned fingerprint set within ``exchange._DRIVER_READ_MAX`` rows onto
-the driver (only the ingest pin, the fingerprint pin and the caller's
-collect execute); a bigger pin takes its exchange tier (star pass →
-components → per-group regen + check). Both tiers run one code path
-and return the same edges. Clusters are assigned through the driver
-tier of ``pipeline.assign_clusters``.
+Pairs are found, verified and clustered by the candidate engine
+(``candidates.component_labels``) with the SimHash kernel
+(``simhash_kernel``): block-combination keys (``_block_keys``) at the
+``_block_scheme`` rung, Hamming distance ≤ ``hamming_max`` as the
+check. Its memory tier reads a pinned fingerprint set within
+``exchange._DRIVER_READ_MAX`` rows onto the driver (only the ingest
+pin, the fingerprint pin and the caller's collect execute); a bigger
+pin takes its exchange tier (star pass → components → per-group regen
++ check + label). Both tiers run one code path and return the same
+labels, which ``pipeline.assign_clusters`` turns into clusters — on the
+driver while they fit ``cfg.broadcast_max_rows``, by bucketed joins
+past it.
 
 Complementary to MinHash: SimHash Hamming distance tracks cosine/token
 -frequency similarity rather than set Jaccard; 8 bytes per doc instead
@@ -37,14 +39,9 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
-from .candidates import (
-    EDGES_SCHEMA,
-    Kernel,
-    component_verified_edges,
-    memory_verified_edges,
-)
+from .candidates import Kernel, component_labels
 from .config import DedupConfig
-from .exchange import collect_table, dup_key_counts
+from .exchange import dup_key_counts
 from .hashing import U64, fmix64
 from .minhash import _token_lists, shingle_hashes
 from .schema import CLUSTERS
@@ -221,13 +218,12 @@ def simhash_clusters(
     (group docs by shingle multiset) used by the oracle-checked
     ``simhash_exact_mode`` query.
 
-    Tiers (module docstring): a small fingerprint pin finds and
-    verifies its pairs on the driver; otherwise the engine's exchange
-    tier.
+    Tiers (module docstring): a small fingerprint pin finds, verifies
+    and clusters its pairs on the driver; otherwise the engine's
+    exchange tier.
     """
     from .ingest import ingest
     from .pipeline import assign_clusters, distinct_reps
-    from .unionfind import components_np
 
     cfg = cfg or DedupConfig()
     ing = ingest(pages, cfg).materialize()  # consumed by reps + assignment
@@ -243,13 +239,5 @@ def simhash_clusters(
     )
     fps = simhash_fingerprints(reps, cfg).materialize()
     k = simhash_kernel(fps.count(), cfg, hamming_max, exact_multiset)
-    edges = memory_verified_edges(fps, cfg, k)
-    if edges is None:
-        edges = collect_table(
-            component_verified_edges(fps, cfg, kernel=k), schema=EDGES_SCHEMA
-        )
-    comps = components_np(
-        edges.column("a").to_numpy(zero_copy_only=False),
-        edges.column("b").to_numpy(zero_copy_only=False),
-    )
-    return assign_clusters(ing, comps, dup_hashes, dup_cnts, cfg, _OUT)
+    labels = component_labels(fps, cfg, k)
+    return assign_clusters(ing, labels, dup_hashes, dup_cnts, cfg, _OUT)

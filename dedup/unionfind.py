@@ -1,16 +1,19 @@
-"""Connected components over verified candidate pairs.
+"""Connected components over candidate pairs.
 
-Two implementations; callers pick by edge count (the verified edge set
-is dup-bounded — duplicate-involved docs only, not the corpus):
+Two implementations (the edge sets are dup-bounded — duplicate-involved
+docs only, not the corpus):
 
-- ``components_np``: vectorized driver components over edge arrays,
-  while the edges fit ``cfg.broadcast_max_rows``. Mirrors the
-  reference's single-process final grouping
-  (process_matches.rs:395-401). ``UnionFind`` (path compression + union
-  by size) is its reference implementation in the tests.
+- ``components_np``: vectorized components over edge arrays — the
+  verified edges of every candidate-engine group
+  (``candidates._label_group``), and the star edges on the driver while
+  they fit ``cfg.broadcast_max_rows``. Mirrors the reference's
+  single-process final grouping (process_matches.rs:395-401).
+  ``UnionFind`` (path compression + union by size) is its reference
+  implementation in the tests.
 
 - ``label_propagation``: distributed min-label propagation over Ray Data
-  past that guard, the 10^12-doc scale path. One fused bucketed exchange per round over
+  for the star edges past that guard (``candidates._tagged_sig_rows``),
+  the 10^12-doc scale path. One fused bucketed exchange per round over
   17-byte (k, v, kind) rows; static edges live in per-bucket plasma
   blocks (never re-shuffled), only label CHANGES are broadcast to
   neighbors (delta propagation), and pointer-jump request/reply rows keep

@@ -190,3 +190,80 @@ def test_component_pairs_empty_corpus():
     for tier, edges in _edges_by_tier(sigs, cfg).items():
         assert edges.num_rows == 0, tier
         assert edges.schema.names == ["a", "b", "sim"], tier
+
+
+def _hand_rows(cfg, docs: dict) -> pa.Table:
+    """MinHash rows built slot by slot: ``docs`` maps doc_hash → its
+    ``cfg.num_perm`` int32 slots."""
+    flat = np.array(list(docs.values()), np.int32).reshape(-1)
+    return pa.table(
+        {
+            "doc_hash": pa.array(list(docs), pa.int64()),
+            "sig": pa.FixedSizeListArray.from_arrays(
+                pa.array(flat, pa.int32()), cfg.num_perm
+            ),
+            "n_shingles": pa.array([10] * len(docs), pa.int64()),
+        }
+    )
+
+
+def test_label_group_equals_components_of_verified_edges():
+    """``_label_group`` labels a group's kept edges exactly as
+    ``components_np`` labels ``memory_verified_edges`` of the same rows,
+    with Σdeg/2 the edge count. Three bands of four slots; a pair sharing
+    one band (sim 4/12) fails the 0.5 threshold, two or three bands pass.
+
+    - ``split``: one band-0 bucket {a, a2, m, b, b2} — one star
+      component — whose middle member m shares only that band with
+      everyone, so it splits into the verified components {a, a2} and
+      {b, b2} (a2's negative id: the label is the uint64-min member);
+    - ``two_stars``: one group holding two star components, a chain
+      c–c2–c3 (c and c3 share only band 1, so their pair fails) and the
+      pair {d, d2}."""
+    from dedup.candidates import LABELS_SCHEMA, _label_group, minhash_kernel
+    from dedup.unionfind import components_np
+
+    cfg = DedupConfig(min_size=1, num_perm=12, bands=3, rows_per_band=4)
+    kernel = minhash_kernel(cfg)
+
+    def band(v):  # four slots of one band
+        return [v, v + 1, v + 2, v + 3]
+
+    split = {
+        5: band(0) + band(10) + band(20),
+        -7: band(0) + band(10) + band(20),
+        3: band(0) + band(30) + band(40),
+        11: band(0) + band(50) + band(60),
+        12: band(0) + band(50) + band(60),
+    }
+    two_stars = {
+        -20: band(100) + band(110) + band(120),
+        21: band(100) + band(110) + band(130),
+        22: band(140) + band(110) + band(130),
+        30: band(200) + band(210) + band(220),
+        31: band(200) + band(210) + band(220),
+    }
+    want_labels = {
+        "split": {5: 5, -7: 5, 11: 11, 12: 11},
+        "two_stars": {-20: 21, 21: 21, 22: 21, 30: 30, 31: 30},
+    }
+    for name, docs in (("split", split), ("two_stars", two_stars)):
+        g = _hand_rows(cfg, docs)
+        got = _label_group(g, cfg, kernel)
+        assert got.schema == LABELS_SCHEMA, name
+        edges = memory_verified_edges(rd.from_arrow(g).materialize(), cfg)
+        nodes, labels = components_np(
+            edges["a"].to_numpy(), edges["b"].to_numpy()
+        )
+        assert got["node"].to_pylist() == nodes.tolist(), name
+        assert got["label"].to_pylist() == labels.tolist(), name
+        assert dict(zip(nodes.tolist(), labels.tolist())) == want_labels[name]
+        assert sum(got["deg"].to_pylist()) == 2 * len(edges) > 0, name
+    chain = _label_group(_hand_rows(cfg, two_stars), cfg, kernel)
+    assert dict(zip(chain["node"].to_pylist(), chain["deg"].to_pylist()))[21] == 2
+
+    # a zero-row group and a group whose only pair fails: typed, empty
+    empty = LABELS_SCHEMA.empty_table()
+    assert _label_group(_hand_rows(cfg, {}), cfg, kernel).equals(empty)
+    no_kept = {k: split[k] for k in (5, 3)}
+    assert _label_group(_hand_rows(cfg, no_kept), cfg, kernel).equals(empty)

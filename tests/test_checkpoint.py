@@ -39,7 +39,7 @@ def test_resume_identical_clusters(tmp_path):
     assert _kinds(ck1.events) == [
         ("write", "p1_ingested"),
         ("write", "p3_signatures"),
-        ("write", "p4_edges"),
+        ("write", "p4_labels"),
     ]
     # every signing partition has its own lineage record
     assert sum(e.startswith("write:p3_signatures/part-") for e in ck1.events) == cfg.sign_partitions
@@ -51,7 +51,7 @@ def test_resume_identical_clusters(tmp_path):
     assert _kinds(ck2.events) == [
         ("hit", "p1_ingested"),
         ("hit", "p3_signatures"),
-        ("hit", "p4_edges"),
+        ("hit", "p4_labels"),
     ]
     assert second == first
     for f, m in mtimes.items():
@@ -69,16 +69,17 @@ def test_partial_checkpoint_resumes_later_stage_only(tmp_path):
     assert _kinds(ck2.events) == [
         ("hit", "p1_ingested"),
         ("write", "p3_signatures"),
-        ("write", "p4_edges"),
+        ("write", "p4_labels"),
     ]
     assert second == first
 
 
-def test_distributed_backend_checkpoints_edges_as_parquet(tmp_path, monkeypatch):
-    """Edges past the broadcast guard (``broadcast_max_rows=0``) take
-    the distributed tier — label propagation and the Dataset assignment;
-    ``p4_edges`` is a parquet checkpoint there too, and a resume reads
-    it back as a Dataset (never collected onto the driver)."""
+def test_distributed_backend_checkpoints_labels_as_parquet(tmp_path, monkeypatch):
+    """Component labels past the broadcast guard
+    (``broadcast_max_rows=0``) take the distributed tier — the Dataset
+    assignment; ``p4_labels`` is a parquet checkpoint there too, and a
+    resume reads it back as a Dataset (never collected onto the
+    driver)."""
     import dedup.exchange as ex
 
     table, _ = make_pages(n_exact_groups=4, n_near_groups=4, n_singletons=20)
@@ -88,18 +89,18 @@ def test_distributed_backend_checkpoints_edges_as_parquet(tmp_path, monkeypatch)
     assert _kinds(ck1.events) == [
         ("write", "p1_ingested"),
         ("write", "p3_signatures"),
-        ("write", "p4_edges"),
+        ("write", "p4_labels"),
     ]
-    edir = os.path.join(str(tmp_path), "p4_edges", "data")
+    edir = os.path.join(str(tmp_path), "p4_labels", "data")
     assert any(f.endswith(".parquet") for f in os.listdir(edir))
     ck2 = CheckpointManager(str(tmp_path), cfg)
     res = near_dup_pipeline(rd.from_arrow(table), cfg, checkpoint=ck2)
     assert _kinds(ck2.events) == [
         ("hit", "p1_ingested"),
         ("hit", "p3_signatures"),
-        ("hit", "p4_edges"),
+        ("hit", "p4_labels"),
     ]
-    assert isinstance(res.edges, rd.Dataset) and res.n_edges() > 0
+    assert isinstance(res.labels, rd.Dataset) and res.n_edges() > 0
     assert cluster_partition(res.clusters) == first
     monkeypatch.undo()
     # and the partition equals the memory tier's (no-checkpoint run)
@@ -116,7 +117,7 @@ def test_config_change_invalidates(tmp_path):
     assert _kinds(ck2.events) == [
         ("write", "p1_ingested"),
         ("write", "p3_signatures"),
-        ("write", "p4_edges"),
+        ("write", "p4_labels"),
     ]
 
 

@@ -134,13 +134,32 @@ def test_long_span_pairs_executions(executions):
     assert executions[0] <= 4, executions[0]
 
 
-def test_forced_exchange_tier_runs_no_schema_probe(executions, monkeypatch):
+@pytest.fixture
+def lp_runs(monkeypatch):
+    """Count ``unionfind.label_propagation`` calls (the engine imports
+    it at call time, so the module attribute is what it runs)."""
+    import dedup.unionfind as uf
+
+    n = [0]
+    run = uf.label_propagation
+
+    def counted(*a, **k):
+        n[0] += 1
+        return run(*a, **k)
+
+    monkeypatch.setattr(uf, "label_propagation", counted)
+    return n
+
+
+def test_forced_exchange_tier_runs_no_schema_probe(executions, lp_runs, monkeypatch):
     """The flagship with no pin on the driver (``_DRIVER_READ_MAX=-1``)
     and no map within the broadcast guard (``broadcast_max_rows=0``):
-    every join runs, and the edges take label propagation and the
-    Dataset assignment. ``bucketed_join`` reads both sides' schemas; a
-    lazy side without a recorded schema makes Ray run a ``limit=1`` pass
-    of its whole upstream plan (which then runs again for the data)."""
+    every join runs, the star edges take label propagation (its one
+    run: the verified edges are labeled inside their groups) and the
+    labels the Dataset assignment. ``bucketed_join`` reads both sides'
+    schemas; a lazy side without a recorded schema makes Ray run a
+    ``limit=1`` pass of its whole upstream plan (which then runs again
+    for the data)."""
     import dedup.exchange as ex
 
     monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
@@ -148,10 +167,28 @@ def test_forced_exchange_tier_runs_no_schema_probe(executions, monkeypatch):
         _pages(), DedupConfig(min_size=1, broadcast_max_rows=0)
     )
     out = collect_table(res.clusters)
-    assert len(out) > 0 and isinstance(res.edges, rd.Dataset)
+    assert len(out) > 0 and isinstance(res.labels, rd.Dataset)
     probes = [ops for ops in executions[1:] if "limit=1" in ops]
     assert not probes, probes
-    assert executions[0] <= 23, executions[0]
+    assert lp_runs[0] == 1, lp_runs[0]
+    assert executions[0] <= 15, executions[0]
+
+
+def test_forced_simhash_tier_executions(executions, lp_runs, monkeypatch):
+    """``simhash_clusters`` on the same forced tier: one label
+    propagation (the star edges), the per-group verify + label, and the
+    Dataset assignment — no edge set is collected onto the driver."""
+    import dedup.exchange as ex
+
+    monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
+    out = collect_table(
+        simhash_clusters(_pages(), DedupConfig(min_size=1, broadcast_max_rows=0))
+    )
+    assert len(out) > 0
+    probes = [ops for ops in executions[1:] if "limit=1" in ops]
+    assert not probes, probes
+    assert lp_runs[0] == 1, lp_runs[0]
+    assert executions[0] <= 15, executions[0]
 
 
 def test_forced_join_tiers_run_no_schema_probe(executions, monkeypatch):

@@ -138,11 +138,12 @@ def test_components_np_matches_unionfind():
 # tier → (config overrides, exchange._DRIVER_READ_MAX or None to keep it)
 _TIERS = {
     "memory": ({}, None),
-    # no pin fits the driver: the engine's exchange tier; the verified
-    # edges still fit the broadcast guard, so components run on the driver
+    # no pin fits the driver: the engine's exchange tier; the star edges
+    # and the component labels still fit the broadcast guard, so the star
+    # components and the assignment run on the driver
     "exchange-driver": ({}, -1),
-    # and no edge set fits the guard: label propagation + the Dataset
-    # assignment, the edges never collected onto the driver
+    # and nothing fits the guard: label propagation over the star edges,
+    # the labels stay a Dataset for the bucketed-join assignment
     "label-propagation": ({"broadcast_max_rows": 0}, -1),
 }
 
@@ -159,14 +160,14 @@ _NO_EDGES = pa.table(
 
 def _assert_tier_agrees(tier, monkeypatch, table, **kw):
     """Run ``tier`` on ``table`` and check it gives the bit-identical
-    cluster table (ids, sizes and membership) and edge set as the memory
-    tier; returns the tier's result."""
+    cluster table (ids, sizes and membership) and component labels
+    (node, label, deg) as the memory tier; returns the tier's result."""
     import dedup.exchange as ex
     from ray.data import Dataset
 
-    def edge_set(edges) -> set:
-        t = edges.to_pandas()
-        return set(zip(t["a"], t["b"]))
+    def sorted_labels(labels):
+        t = labels.to_pandas()
+        return t.sort_values("node").reset_index(drop=True)
 
     overrides, guard = _TIERS[tier]
     ds = rd.from_arrow(table)
@@ -182,9 +183,10 @@ def _assert_tier_agrees(tier, monkeypatch, table, **kw):
     )
     monkeypatch.undo()
     assert d1.equals(d2), kw
-    assert edge_set(want.edges) == edge_set(got.edges), kw
+    assert sorted_labels(want.labels).equals(sorted_labels(got.labels)), kw
+    assert got.n_edges() == want.n_edges(), kw
     lp = tier == "label-propagation" and got.n_edges() > 0
-    assert isinstance(got.edges, Dataset) == lp, kw
+    assert isinstance(got.labels, Dataset) == lp, kw
     return got
 
 
@@ -207,11 +209,11 @@ def test_pipeline_tiers_agree(tier, monkeypatch):
 
 
 def test_pipeline_distributed_backend_matches_driver(monkeypatch):
-    """The fully-Dataset path (component verifier on its exchange tier →
-    label_propagation → bucketed-join assignment) must produce the
-    bit-identical cluster table — ids, sizes and membership — and edge
-    set, while its edges handoff stays a Dataset (never a driver Arrow
-    table)."""
+    """The fully-Dataset path (star components by label_propagation →
+    per-group verify + label → bucketed-join assignment) must produce
+    the bit-identical cluster table — ids, sizes and membership — and
+    component labels, while its labels handoff stays a Dataset (never a
+    driver Arrow table)."""
     _assert_tier_agrees(
         "label-propagation", monkeypatch,
         make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=25)[0],

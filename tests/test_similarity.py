@@ -432,11 +432,12 @@ def test_simhash_combination_rows_share_key_within_ball():
 
 
 def test_simhash_distributed_verify_matches_driver(monkeypatch):
-    """The three SimHash tiers give one cluster partition: the memory
-    tier (small pinned fingerprints), the exchange tier with driver
-    components (no pin fits the guard) and the exchange tier with
-    label-propagation components (``broadcast_max_rows=0``) — in the
-    default mode and in exact-multiset mode."""
+    """The three SimHash tiers give one clusters table — partition,
+    ``cluster_id`` and ``cluster_size``: the memory tier (small pinned
+    fingerprints), the exchange tier with driver components (no pin
+    fits the guard) and the exchange tier with label-propagation star
+    components and the Dataset assignment (``broadcast_max_rows=0``) —
+    in the default mode and in exact-multiset mode."""
     import dedup.exchange as ex
 
     pages_tbl, _ = make_pages(
@@ -447,9 +448,10 @@ def test_simhash_distributed_verify_matches_driver(monkeypatch):
 
     def part_of(cfg, **kw):
         df = simhash_clusters(rd.from_arrow(pages_tbl), cfg, **kw).to_pandas()
-        return sorted(
+        part = sorted(
             tuple(sorted(g["url"])) for _, g in df.groupby("cluster_id")
         )
+        return part, df.sort_values("url").reset_index(drop=True)
 
     for kw in ({"hamming_max": 3}, {"hamming_max": 0, "exact_multiset": True}):
         parts = []
@@ -462,4 +464,7 @@ def test_simhash_distributed_verify_matches_driver(monkeypatch):
                 monkeypatch.setattr(ex, "_DRIVER_READ_MAX", guard)
             parts.append(part_of(cfg, **kw))
             monkeypatch.undo()
-        assert parts[0] == parts[1] == parts[2] and len(parts[0]) > 0, kw
+        (p0, t0), (p1, t1), (p2, t2) = parts
+        assert p0 == p1 == p2 and len(p0) > 0, kw
+        # the whole table, cluster_id and cluster_size included
+        assert t0.equals(t1) and t0.equals(t2[t0.columns.tolist()]), kw
