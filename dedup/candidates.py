@@ -330,11 +330,18 @@ def component_labels(
     tagged, n_stars = _tagged_sig_rows(sigs, cfg, kernel)
     if tagged is None:
         return LABELS_SCHEMA.empty_table()
-    labels = ensure_schema(
+    return pinned_labels(
         _grouped(tagged, cfg, lambda g: _label_group(g, cfg, kernel),
                  n_cand_hint=2 * n_stars),
-        LABELS_SCHEMA,
-    ).materialize()
+        cfg,
+    )
+
+
+def pinned_labels(labels: Dataset, cfg: DedupConfig) -> "pa.Table | Dataset":
+    """A (node, label, deg) Dataset pinned: read onto the driver while it
+    fits ``cfg.broadcast_max_rows``, else the typed pin (its schema
+    recorded, so a join reads it without a ``limit=1`` probe)."""
+    labels = ensure_schema(labels, LABELS_SCHEMA).materialize()
     t = pinned_table(labels, LABELS_SCHEMA.names, max_rows=cfg.broadcast_max_rows)
     return labels if t is None else t
 

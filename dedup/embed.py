@@ -114,12 +114,11 @@ def _topk_search(
         sims = X @ Qm.T  # (n, m)
         if cells is not None:
             cell = np.argmax(X @ cells[0].T, axis=1)
-            in_probe = (cell[:, None, None] == cells[1][None]).any(axis=2)
         out = []
         for j in range(len(qids)):
             valid = ids != qids[j]
             if cells is not None:
-                valid &= in_probe[:, j]
+                valid &= np.isin(cell, cells[1][j])
             cand = np.nonzero(valid)[0]
             if len(cand):
                 top = _topk_idx_tiebreak(cand, sims[:, j], ids, min(k, len(cand)))

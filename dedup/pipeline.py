@@ -30,7 +30,6 @@ from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import (
-    collect_table,
     dup_key_counts,
     dup_keys,
     ensure_schema,
@@ -381,7 +380,7 @@ def near_dup_pipeline(
     # components of the verified edges (dedup/candidates.py), labeled
     # inside the groups that verify them: an Arrow table while they fit
     # the broadcast guard, a Dataset past it
-    from .candidates import LABELS_SCHEMA, component_labels
+    from .candidates import component_labels, pinned_labels
 
     if checkpoint is not None:
 
@@ -389,9 +388,7 @@ def near_dup_pipeline(
             lab = component_labels(sigs, cfg)
             return rd.from_arrow(lab) if isinstance(lab, pa.Table) else lab
 
-        labels = checkpoint.load_or_run("p4_labels", labels_ds)
-        if labels.count() <= cfg.broadcast_max_rows:
-            labels = collect_table(labels, schema=LABELS_SCHEMA)
+        labels = pinned_labels(checkpoint.load_or_run("p4_labels", labels_ds), cfg)
     else:
         labels = component_labels(sigs, cfg)
     tick("candidates+verify+components")
