@@ -41,7 +41,8 @@ pairs, verified edges and the drop report are bounded by
 duplicate-INVOLVED docs, not by the corpus or the batch. Two tiers,
 chosen once per call:
 
-- **memory tier**: the batch's ingest and signature pins fit
+- **memory tier**: the batch's scan pin (``pipeline.scan_sign``
+  ingests and signs in one pass) and its signature reps fit
   ``exchange.pinned_table`` and the index has a band table of at most
   ``exchange._DRIVER_READ_MAX`` rows (manifest ``n_docs × bands``: the
   rows the band probe scans). Every probe, fetch and filter after the
@@ -50,7 +51,7 @@ chosen once per call:
   ``isin`` scans of the index files (``pyarrow.dataset``), and ``kept``
   / ``kept_sigs`` return as in-memory Datasets that ``update_index``
   writes with ``pyarrow.parquet``. No Ray Data execution runs past the
-  two pins. ``build_index`` takes the same tier when its signature pin
+  scan. ``build_index`` takes the same tier when its signature pin
   fits, and writes the index and its Bloom sidecar from memory.
 - **exchange tier** (larger batches or indexes, and legacy indexes
   without ``bands/``): the same probes as Ray Data scans, membership
@@ -107,16 +108,14 @@ from .candidates import (
 from .config import DedupConfig
 from .exchange import (
     collect_table,
-    dup_keys,
     member_probe,
     pinned_table,
     semi_filter,
 )
 from .hashing import xxh64_arrow
-from .ingest import ingest
 from .lsh import Bander, band_rows
-from .minhash import MinHashSigner, sign
-from .pipeline import distinct_reps
+from .minhash import MinHashSigner
+from .pipeline import scan_sign, signed_reps
 from .unionfind import components_np
 
 INDEX_SCHEMA_VERSION = 1
@@ -207,7 +206,7 @@ def _no_sigs(cfg: DedupConfig) -> pa.Table:
 
 
 def _pinned_sigs(sigs: Dataset) -> pa.Table | None:
-    """The columns the index stores of a pinned ``sign`` output; ``None``
+    """The columns the index stores of a pinned signature set; ``None``
     over ``exchange.pinned_table``'s guard."""
     return pinned_table(sigs, ["doc_hash", "sig", "n_shingles", "set_hash"])
 
@@ -243,12 +242,13 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
     """Corpus pages → persisted signature index (the corpus is assumed
     already deduplicated; if not, run ``near_dup_corpus`` first).
 
-    Two executions while the signatures fit the memory tier (module
-    doc): the ingest pin (``dup_keys`` reads it with no execution) and
-    the signature pin; the sig and band files and the Bloom sidecar are then
-    written from memory. Past the guard Ray Data writes them, and the
-    Bloom sidecar is built over the signature pin. A corpus
-    with no rows still gives a typed, empty index.
+    One execution while the signatures fit the memory tier (module
+    doc): the scan that ingests and signs (``pipeline.scan_sign``),
+    whose pin ``pipeline.signed_reps`` reads with none; the sig and
+    band files and the Bloom sidecar are then written from memory. Past
+    the guard the reps are pinned by an exchange, Ray Data writes the
+    files, and the Bloom sidecar is built over the signature pin. A
+    corpus with no rows still gives a typed, empty index.
 
     Writes to ``<index_dir>.tmp`` then renames, so a killed build never
     leaves a half-index behind a valid manifest."""
@@ -260,12 +260,7 @@ def build_index(pages: Dataset, cfg: DedupConfig, index_dir: str) -> dict:
         shutil.rmtree(tmp)
     os.makedirs(sigs_dir, exist_ok=True)
     os.makedirs(bands_dir, exist_ok=True)
-    ing = ingest(pages, cfg).select_columns(["doc_hash", "text"]).materialize()
-    reps = distinct_reps(
-        ing, dups=dup_keys(ing, "doc_hash"), n_buckets=cfg.join_buckets,
-        max_broadcast_rows=cfg.broadcast_max_rows,
-    )
-    sigs = sign(reps, cfg).materialize()
+    sigs, _, _ = signed_reps(scan_sign(pages, cfg, MinHashSigner(cfg)), cfg)
     n = sigs.count()
     # zero rows always take the driver writes: Ray writes no file for an
     # empty Dataset (whose pin is untyped), and the index readers need a
@@ -317,13 +312,18 @@ _REPORT_EMPTY = pa.table(
 def incremental_dedup(
     new_pages: Dataset, index_dir: str, cfg: DedupConfig | None = None
 ) -> IncrementalResult:
-    """Dedup a new batch against the persisted index (see module doc)."""
+    """Dedup a new batch against the persisted index (see module doc).
+
+    One scan ingests and signs the batch (``pipeline.scan_sign``); its
+    pin's narrow projection is the batch's page table, and
+    ``pipeline.signed_reps`` gives its signatures and exact-dup hashes
+    (no execution on the memory tier)."""
     cfg = cfg or DedupConfig()
     mf = _check_manifest(index_dir, cfg)
     sigs_dir, bands_dir, _ = _paths(index_dir)
 
-    ing = ingest(new_pages, cfg).materialize()
-    if ing.count() == 0:
+    pin = scan_sign(new_pages, cfg, MinHashSigner(cfg))
+    if pin.count() == 0:
         empty_kept = pa.table(
             {
                 "url": pa.array([], pa.string()),
@@ -336,15 +336,12 @@ def incremental_dedup(
             report=_REPORT_EMPTY,
             kept_sigs=rd.from_arrow(_no_sigs(cfg)),
         )
-    dups = dup_keys(ing, "doc_hash")  # batch-internal exact-dup hashes
-    reps = distinct_reps(
-        ing, dups=dups, n_buckets=cfg.join_buckets,
-        max_broadcast_rows=cfg.broadcast_max_rows,
-    )
-    new_sigs = sign(reps, cfg).materialize()
+    # dups: the batch-internal exact-dup hashes
+    new_sigs, dups, _ = signed_reps(pin, cfg)
+    ing = pin.select_columns(["url", "size_bytes", "doc_hash"])
     # the tier, decided once (module doc): both batch pins fit, and the
     # band rows the driver would scan fit the same guard
-    pages = pinned_table(ing, ["url", "size_bytes", "doc_hash"])
+    pages = pinned_table(pin, ["url", "size_bytes", "doc_hash"])
     sigs = _pinned_sigs(new_sigs)
     if (
         pages is not None and sigs is not None and os.path.isdir(bands_dir)

@@ -1,7 +1,10 @@
 """Flagship near-duplicate pipeline (north rule end-to-end).
 
-    pages ─ingest→ P1(url,text,identity cols)
-          ─distinct-content reps→ sign (MinHash actor pool) → P3 signatures
+    pages ─ingest + sign in one scan (first row per doc_hash in each
+             batch; MinHash)→ pin (url, lang, size_bytes, doc_hash,
+             short_hash, signature columns — no text)
+          ─one signature row per distinct doc_hash (driver, or a
+             bucketed first-per-hash over signature rows)→ P3 signatures
           ─candidates (band keys → star components → per-group pairs
              checked by signature agreement and labeled with
              components_np in the same group, dedup/candidates.py)
@@ -16,7 +19,13 @@ full-checksum → print/consolidate) per SURVEY.md §3.4.
 Exact duplicates are collapsed **before** MinHash (one signature per
 distinct text ≅ the reference hashing each inode once no matter how many
 hard links point at it, process_matches.rs:420-433) and fanned back out at
-assignment time.
+assignment time. The collapse rides the ingest scan (``scan_sign``): a
+batch signs only its first row per hash, and ``signed_reps`` keeps one
+signature per hash across batches, so no separate ingest pass runs.
+SimHash, ``build_index`` and ``incremental_dedup`` sign through the same
+two helpers. With a checkpoint the text-bearing ingest is pinned as P1
+(the per-partition signing loop resumes from it) and signed from
+``distinct_reps``.
 """
 
 from __future__ import annotations
@@ -25,69 +34,82 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 from ray.data import Dataset
 
 from .config import DedupConfig
 from .exchange import (
+    _add_bucket,
+    _dups_np,
     dup_key_counts,
     dup_keys,
     ensure_schema,
     join_typed,
+    pinned_table,
     semi_filter,
 )
-from .ingest import ingest
-from .minhash import sign
+from .ingest import Ingester, ingest
+from .minhash import MinHashSigner, sign
 from .schema import CLUSTERS, INGESTED
 
 
 def _local_first_idx(dh: np.ndarray) -> np.ndarray:
     """Row indices of the FIRST occurrence per hash, in original row
-    order — the per-batch combiner every first-per-doc_hash site shares
-    (one kernel: the fused and unfused signing paths are asserted
-    output-identical, so their combiners must be the same code)."""
+    order — the one first-per-doc_hash kernel: the scan's per-batch
+    signing choice, the memory tier of ``signed_reps`` and the
+    per-batch combiner of the bucketed exchange."""
     _, first_idx = np.unique(dh, return_index=True)
     return np.sort(first_idx)
 
 
 def _bucket_first(g: pa.Table) -> pa.Table:
     """Arrow-native first-per-hash over one co-located bucket group →
-    (doc_hash, text): stable sort on the int64 key + boundary take —
-    the text column never becomes Python objects (a pandas
-    drop_duplicates here would objectify every string)."""
+    its columns but ``__bucket``: stable sort on the int64 key +
+    boundary take — wide columns (text, signatures) never become Python
+    objects (a pandas drop_duplicates here would objectify them)."""
     dh = g.column("doc_hash").to_numpy(zero_copy_only=False)
     order = np.argsort(dh, kind="stable")
     first = np.ones(len(dh), dtype=bool)
     first[1:] = dh[order][1:] != dh[order][:-1]
     keep = np.sort(order[first])  # preserve original row order
-    return g.select(["doc_hash", "text"]).take(pa.array(keep, pa.int64()))
+    return g.drop_columns(["__bucket"]).take(pa.array(keep, pa.int64()))
 
 
-def _dup_rep_rows(
-    narrow: Dataset,
+def _first_per_hash(
+    rows: Dataset,
     dups: np.ndarray,
     n_buckets: int = 32,
     max_broadcast_rows: int | None = None,
 ) -> Dataset:
-    """One (doc_hash, text) row per DUPLICATED hash — the small branch of
-    ``distinct_reps``, factored out so the fused signing path can union
-    it with its own uniq branch."""
+    """One row per distinct doc_hash of ``rows`` (typed by the caller
+    with ``join_typed``), given the sorted duplicated hashes ``dups``.
+
+    Rows whose hash is not duplicated (the overwhelming majority) pass
+    through with **no shuffle**; only rows whose hash is duplicated
+    (small set, found via the narrow combiner) shuffle — and by hash
+    BUCKET, not by doc_hash: a ``groupby(doc_hash).map_groups(head)``
+    pays per-group Python overhead once per duplicate group (seconds at
+    10^4 groups); grouping ``n_buckets`` (cfg.join_buckets — sized so
+    one bucket's duplicate rows fit a worker) keeps each call one
+    vectorized Arrow first-per-key pass over co-located whole groups."""
+    uniq = semi_filter(
+        rows, "doc_hash", dups, keep=False,
+        max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
+    )
+    if len(dups) == 0:
+        return uniq
 
     def local_first(batch: pa.Table) -> pa.Table:
         dh = batch.column("doc_hash").to_numpy(zero_copy_only=False)
         return batch.take(pa.array(_local_first_idx(dh)))
 
-    from .exchange import _add_bucket
-
-    return (
-        _add_bucket(
-            semi_filter(
-                narrow, "doc_hash", dups,
-                max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
-            ).map_batches(local_first, batch_format="pyarrow"),
-            "doc_hash",
-            n_buckets,
-        )
+    dup_rows = semi_filter(
+        rows, "doc_hash", dups,
+        max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
+    ).map_batches(local_first, batch_format="pyarrow")
+    return uniq.union(
+        _add_bucket(dup_rows, "doc_hash", n_buckets)
         .groupby("__bucket")
         .map_groups(_bucket_first, batch_format="pyarrow")
     )
@@ -99,16 +121,8 @@ def distinct_reps(
     n_buckets: int = 32,
     max_broadcast_rows: int | None = None,
 ) -> Dataset:
-    """One row per distinct doc_hash, keeping (doc_hash, text).
-
-    Unique-content rows (the overwhelming majority) pass through with **no
-    shuffle**; only rows whose doc_hash is duplicated (small set, found via
-    the narrow combiner) shuffle — and by hash BUCKET, not by doc_hash:
-    a ``groupby(doc_hash).map_groups(head)`` pays per-group Python
-    overhead once per duplicate group (seconds at 10^4 groups); grouping
-    ``n_buckets`` (cfg.join_buckets — sized so one bucket's duplicate rows
-    fit a worker) keeps each call one vectorized Arrow first-per-key pass
-    over co-located whole groups (no pandas — text stays Arrow strings).
+    """One row per distinct doc_hash, keeping (doc_hash, text)
+    (``_first_per_hash`` over the text-bearing ingest rows).
 
     ``dups``: precomputed sorted duplicated-key array (callers that
     already ran the narrow count pass supply it to avoid re-executing).
@@ -124,143 +138,110 @@ def distinct_reps(
         narrow, pa.schema([INGESTED.field("doc_hash"), INGESTED.field("text")]),
         len(dups), max_broadcast_rows,
     )
-    uniq = semi_filter(
-        narrow, "doc_hash", dups, keep=False,
-        max_broadcast_rows=max_broadcast_rows, n_buckets=n_buckets,
-    )
-    if len(dups) == 0:
-        return uniq
-    return uniq.union(
-        _dup_rep_rows(
-            narrow, dups, n_buckets=n_buckets,
-            max_broadcast_rows=max_broadcast_rows,
-        )
+    return _first_per_hash(
+        narrow, dups, n_buckets=n_buckets, max_broadcast_rows=max_broadcast_rows
     )
 
 
-def _sign_distinct_fused(
-    pages: Dataset, dups: np.ndarray, cfg: DedupConfig
-) -> Dataset:
-    """Ingest → distinct-rep selection → signing FUSED into one
-    ``map_batches`` over the raw pages, so the corpus TEXT never enters
-    the object store at all: the unfused ``sign(distinct_reps(ingest))``
-    shape materialized the full ingested text once and re-read it once
-    (the union node in distinct_reps blocks Ray Data's operator fusion;
-    measured ~240 + ~105 MB per 200k docs in tools/plasma_audit.py).
-    At 10^12-doc scale the materialized text wouldn't fit the object
-    store and would spill — re-reading the column-pruned source parquet
-    (this pass + the narrow-ingest pass) is strictly cheaper than a
-    corpus-sized spill write + read.
+# the ingest columns of a scan pin (``scan_sign``): everything but text
+_NARROW = ["url", "lang", "size_bytes", "doc_hash", "short_hash"]
 
-    Per batch: ingest (gates + hashes), drop exact-duplicated rows, sign
-    the unique-content rows, and CARRY one (doc_hash, text) candidate
-    row per duplicated hash seen in the batch (the per-batch combiner)
-    out through a unified schema — sig columns null on carried rows,
-    text null on signed rows. The carried rows (dup-bounded) then take
-    the bucketed first-per-hash exchange and a second (tiny) signing
-    pass; equal content hashes have equal text, so WHICH duplicate
-    representative signs is immaterial to the signature.
 
-    Falls back to the unfused path when the dup set exceeds
-    ``cfg.broadcast_max_rows`` (the same guard ``semi_filter`` applies);
-    output ≡ ``sign(distinct_reps(ingest(pages), dups), cfg)`` up to row
-    order — MinHashSigner is row-wise deterministic."""
-    import pyarrow.compute as pc
+def scan_sign(pages: Dataset, cfg: DedupConfig, signer) -> Dataset:
+    """Ingest and sign in ONE ``map_batches`` over the raw pages → a
+    materialized pin with no text column.
 
-    from .minhash import MinHashSigner, sign as _sign
-
-    if len(dups) > cfg.broadcast_max_rows:
-        return _sign(
-            distinct_reps(
-                ingest(pages, cfg), dups=dups, n_buckets=cfg.join_buckets,
-                max_broadcast_rows=cfg.broadcast_max_rows,
-            ),
-            cfg,
-        ).materialize()
-    import ray
-
-    from .ingest import Ingester
-
-    from .exchange import member_probe, member_table
-
+    Per batch: ``Ingester`` (gates + hashes), then the first row per
+    doc_hash in the batch (``_local_first_idx``) goes through
+    ``signer`` (``MinHashSigner`` or ``SimHasher``). Every ingested row
+    keeps the narrow columns (``_NARROW``); the signer's columns are
+    set on the signed rows and null on the rest. An exact copy whose
+    first occurrence lies in another batch signs again, and
+    ``signed_reps`` keeps one of them: equal hashes have equal text, so
+    which copy signs does not change the signature. The corpus text
+    never enters the object store (at 10^12 docs it could not fit and
+    would spill; the scan reads the column-pruned source once). The
+    pin's schema is recorded, so an empty corpus still types it."""
     ing_fn = Ingester(cfg)
-    signer = MinHashSigner(cfg)
-    dups_sorted = np.sort(dups)
-    ref = ray.put(dups_sorted)
-    # occupancy prefilter built once driver-side and shipped with the
-    # set — this membership test runs once per corpus row (the hottest
-    # probe in the flagship), exactly the pattern member_table exists
-    # for (2.5-3.8x over a bare per-probe binary search)
-    tbl_ref = ray.put(member_table(dups_sorted))
-
-    def ingest_filter_sign(batch: pa.Table) -> pa.Table:
-        t = ing_fn(batch)
-        ks = ray.get(ref)
-        dh = t.column("doc_hash").to_numpy(zero_copy_only=False)
-        isdup = member_probe(ks, ray.get(tbl_ref), dh)
-        sig_tbl = signer(
-            t.filter(pa.array(~isdup)).select(["doc_hash", "text"])
-        )
-        if not len(ks):
-            # no duplicated hash anywhere: pass B's output IS the
-            # signature table (no carried rows to split off later)
-            return sig_tbl
-        sig_type = sig_tbl.schema.field("sig").type
-        out = sig_tbl.append_column(
-            "text", pa.nulls(len(sig_tbl), pa.string())
-        )
-        if isdup.any():
-            d = t.filter(pa.array(isdup)).select(["doc_hash", "text"])
-            # per-batch combiner: first occurrence per duplicated hash
-            ddh = d.column("doc_hash").to_numpy(zero_copy_only=False)
-            d = d.take(pa.array(_local_first_idx(ddh)))
-            n = len(d)
-            carry = pa.table(
-                {
-                    "doc_hash": d.column("doc_hash"),
-                    "sig": pa.nulls(n, sig_type),
-                    "n_shingles": pa.nulls(n, pa.int64()),
-                    "set_hash": pa.nulls(n, pa.int64()),
-                    "text": d.column("text"),
-                }
-            )
-            out = pa.concat_tables([out, carry])
-        return out
-
-    passb = pages.map_batches(
-        ingest_filter_sign, batch_format="pyarrow",
-        batch_size=cfg.batch_size, zero_copy_batch=True,
-    ).materialize()
-    if len(dups) == 0:
-        return passb
-
-    def only_sigs(batch: pa.Table) -> pa.Table:
-        m = pc.is_null(batch.column("text"))
-        return batch.filter(m).select(
-            ["doc_hash", "sig", "n_shingles", "set_hash"]
-        )
-
-    def only_texts(batch: pa.Table) -> pa.Table:
-        m = pc.is_valid(batch.column("text"))
-        return batch.filter(m).select(["doc_hash", "text"])
-
-    # final pin: downstream consumes the signature table several times
-    # (banding, verification tiers); materializing the narrow projection
-    # lets the pass-B blocks (which still carry the dup-rep texts) be
-    # released instead of being re-filtered per consumer
-    uniq_sigs = passb.map_batches(only_sigs, batch_format="pyarrow")
-    from .exchange import _add_bucket
-
-    rep_texts = (
-        _add_bucket(
-            passb.map_batches(only_texts, batch_format="pyarrow"),
-            "doc_hash",
-            cfg.join_buckets,
-        )
-        .groupby("__bucket")
-        .map_groups(_bucket_first, batch_format="pyarrow")
+    empty = signer(
+        pa.table({"doc_hash": pa.array([], pa.int64()),
+                  "text": pa.array([], pa.string())})
     )
-    return uniq_sigs.union(_sign(rep_texts, cfg)).materialize()
+    sig_cols = empty.column_names[1:]
+    schema = pa.schema(
+        [INGESTED.field(c) for c in _NARROW]
+        + [empty.schema.field(c) for c in sig_cols]
+    )
+
+    def ingest_sign(batch: pa.Table) -> pa.Table:
+        t = ing_fn(batch)
+        first = _local_first_idx(t.column("doc_hash").to_numpy(zero_copy_only=False))
+        if len(first) == len(t):
+            s = signer(t.select(["doc_hash", "text"]))
+        else:
+            s = signer(t.take(pa.array(first)).select(["doc_hash", "text"]))
+            # scatter the signed rows back; a null index is a null row
+            idx = np.zeros(len(t), np.int64)
+            idx[first] = np.arange(len(first))
+            unsigned = np.ones(len(t), dtype=bool)
+            unsigned[first] = False
+            s = s.take(pa.array(idx, mask=unsigned))
+        # cast: every block must carry the recorded schema (a source
+        # may type url or lang differently, e.g. large_string)
+        return pa.table(
+            [t.column(c) for c in _NARROW] + [s.column(c) for c in sig_cols],
+            names=schema.names,
+        ).cast(schema)
+
+    return ensure_schema(
+        pages.map_batches(
+            ingest_sign, batch_format="pyarrow",
+            batch_size=cfg.batch_size, zero_copy_batch=True,
+        ),
+        schema,
+    ).materialize()
+
+
+def signed_reps(
+    pin: Dataset, cfg: DedupConfig
+) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """A ``scan_sign`` pin → (one signature row per distinct doc_hash,
+    pinned; the sorted duplicated hashes; their url counts).
+
+    Memory tier: a pin within ``pinned_table``'s guard is read onto the
+    driver — duplicate counts by ``_dups_np``, and the first signed row
+    per hash — with no execution. Exchange tier: ``dup_key_counts`` over
+    the pin, then ``_first_per_hash`` over the signed rows: rows of a
+    non-duplicated hash pass through, duplicated hashes take the
+    bucketed first-per-hash over signature rows (never text)."""
+    schema = pa.schema(pin.schema(fetch_if_missing=False).base_schema)
+    cols = ["doc_hash"] + [c for c in schema.names if c not in _NARROW]
+    t = pinned_table(pin, cols)
+    if t is not None:
+        dup_hashes, dup_cnts = _dups_np(
+            t.column("doc_hash").to_numpy(zero_copy_only=False)
+        )
+        # both signers emit n_shingles; it is null exactly on unsigned rows
+        t = t.filter(pc.is_valid(t.column("n_shingles")))
+        first = _local_first_idx(t.column("doc_hash").to_numpy(zero_copy_only=False))
+        if len(first) < len(t):
+            t = t.take(pa.array(first))
+        return rd.from_arrow(t), dup_hashes, dup_cnts
+    dup_hashes, dup_cnts = dup_key_counts(pin, "doc_hash")
+    typed = pa.schema([schema.field(c) for c in cols])
+
+    def signed(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_valid(batch.column("n_shingles"))).select(cols)
+
+    rows = join_typed(
+        pin.map_batches(signed, batch_format="pyarrow"),
+        typed, len(dup_hashes), cfg.broadcast_max_rows,
+    )
+    reps = _first_per_hash(
+        rows, dup_hashes, n_buckets=cfg.join_buckets,
+        max_broadcast_rows=cfg.broadcast_max_rows,
+    )
+    return ensure_schema(reps, typed).materialize(), dup_hashes, dup_cnts
 
 
 @dataclass
@@ -271,11 +252,11 @@ class NearDupResult:
     # cfg.broadcast_max_rows, otherwise a Dataset (they never transit
     # the driver)
     labels: "pa.Table | Dataset"
-    # the pinned P1 ingest Dataset — downstream consumers (near_dup_corpus)
-    # reuse it instead of re-running ingest. NARROW on the no-checkpoint
-    # path (url, lang, size_bytes, doc_hash, short_hash — no text; the
-    # text never enters the object store there); text-bearing only when
-    # a checkpoint pins the resume copy.
+    # the ingest rows — downstream consumers (near_dup_corpus) reuse them
+    # instead of re-running ingest. On the no-checkpoint path the narrow
+    # projection (url, lang, size_bytes, doc_hash, short_hash) of the
+    # ``scan_sign`` pin, which holds no text; text-bearing only when a
+    # checkpoint pins the resume copy.
     ingested: Dataset | None = None
 
     def n_edges(self) -> int:
@@ -308,43 +289,20 @@ def near_dup_pipeline(
             print(f"[dedup-timing] {name}: {now - _t:.2f}s", flush=True)
             _t = now
 
-    def stage(name, fn):
-        if checkpoint is not None:
-            return checkpoint.load_or_run(name, fn)
-        # no checkpoint → pin the stage in the object store: it is
-        # consumed by several downstream passes and a lazy Dataset would
-        # re-execute its whole upstream each time. At scale the object
-        # store spills to disk, so this is the same durability tradeoff
-        # as the parquet checkpoint, minus the lineage manifest.
-        return fn().materialize()
-
     if checkpoint is not None:
         # resume contract: the P1 checkpoint keeps the text so the
         # per-partition signing loop can re-scan it across sessions
-        ing = stage("p1_ingested", lambda: ingest(pages, cfg))
-    else:
-        # narrow pin: every post-signing consumer (dup counts, cluster
-        # assignment, near_dup_corpus) needs only these columns, and the
-        # signing pass below re-ingests the raw pages instead of reading
-        # a materialized text copy — the corpus text never enters the
-        # object store (at 10^12 docs it could not fit and would spill;
-        # re-reading column-pruned source parquet is strictly cheaper)
-        ing = ingest(pages, cfg).select_columns(
-            ["url", "lang", "size_bytes", "doc_hash", "short_hash"]
-        ).materialize()
-    tick("ingest")
-    # one narrow count pass serves exact-dup collapse AND final cluster
-    # sizing (url count per duplicated doc_hash)
-    dup_hashes, dup_cnts = dup_key_counts(ing, "doc_hash")
-    tick("dup_counts")
-    if checkpoint is not None:
+        ing = checkpoint.load_or_run("p1_ingested", lambda: ingest(pages, cfg))
+        tick("ingest")
+        # one narrow count pass serves exact-dup collapse AND final
+        # cluster sizing (url count per duplicated doc_hash)
+        dup_hashes, dup_cnts = dup_key_counts(ing, "doc_hash")
         # the per-partition signing loop below scans reps P times — pin it
         reps = distinct_reps(
             ing, dups=dup_hashes, n_buckets=cfg.join_buckets,
             max_broadcast_rows=cfg.broadcast_max_rows,
         ).materialize()
-    tick("reps")
-    if checkpoint is not None:
+        tick("reps")
         # per-PARTITION signing checkpoint: reps hash-partition on
         # doc_hash (content-stable across sessions — block boundaries are
         # not); a killed run resumes from completed partitions
@@ -366,10 +324,12 @@ def near_dup_pipeline(
             "p3_signatures", list(range(P)), sign_part
         )
     else:
-        # no checkpoint: ingest + rep selection fuse into the signing
-        # task over the raw pages (text never enters the object store);
-        # materialization happens inside (pass-B blocks + tiny rep sigs)
-        sigs = _sign_distinct_fused(pages, dup_hashes, cfg)
+        # one scan ingests and signs (the text never enters the object
+        # store); the pin's narrow columns serve cluster assignment and
+        # near_dup_corpus, its duplicate counts come with the reps
+        pin = scan_sign(pages, cfg, MinHashSigner(cfg))
+        sigs, dup_hashes, dup_cnts = signed_reps(pin, cfg)
+        ing = pin.select_columns(_NARROW)
     tick("sign")
     if checkpoint is not None and any(
         e.startswith("write:p3_signatures") for e in checkpoint.events
@@ -389,6 +349,9 @@ def near_dup_pipeline(
             return rd.from_arrow(lab) if isinstance(lab, pa.Table) else lab
 
         labels = pinned_labels(checkpoint.load_or_run("p4_labels", labels_ds), cfg)
+        # p4_labels replaced the p4_edges stage: a root written before the
+        # rename keeps a p4_edges/ that nothing reads
+        checkpoint.invalidate("p4_edges")
     else:
         labels = component_labels(sigs, cfg)
     tick("candidates+verify+components")

@@ -20,13 +20,13 @@ Pairs are found, verified and clustered by the candidate engine
 (``simhash_kernel``): block-combination keys (``_block_keys``) at the
 ``_block_scheme`` rung, Hamming distance ≤ ``hamming_max`` as the
 check. Its memory tier reads a pinned fingerprint set within
-``exchange._DRIVER_READ_MAX`` rows onto the driver (only the ingest
-pin, the fingerprint pin and the caller's collect execute); a bigger
-pin takes its exchange tier (star pass → components → per-group regen
-+ check + label). Both tiers run one code path and return the same
-labels, which ``pipeline.assign_clusters`` turns into clusters — on the
-driver while they fit ``cfg.broadcast_max_rows``, by bucketed joins
-past it.
+``exchange._DRIVER_READ_MAX`` rows onto the driver (only the
+``pipeline.scan_sign`` pin, which ingests and fingerprints in one scan,
+and the caller's collect execute); a bigger pin takes its exchange tier
+(star pass → components → per-group regen + check + label). Both
+tiers run one code path and return the same labels, which
+``pipeline.assign_clusters`` turns into clusters — on the driver while
+they fit ``cfg.broadcast_max_rows``, by bucketed joins past it.
 
 Complementary to MinHash: SimHash Hamming distance tracks cosine/token
 -frequency similarity rather than set Jaccard; 8 bytes per doc instead
@@ -41,7 +41,6 @@ from ray.data import Dataset
 
 from .candidates import Kernel, component_labels
 from .config import DedupConfig
-from .exchange import dup_key_counts
 from .hashing import U64, fmix64
 from .minhash import _token_lists, shingle_hashes
 from .schema import CLUSTERS
@@ -218,26 +217,19 @@ def simhash_clusters(
     (group docs by shingle multiset) used by the oracle-checked
     ``simhash_exact_mode`` query.
 
-    Tiers (module docstring): a small fingerprint pin finds, verifies
-    and clusters its pairs on the driver; otherwise the engine's
-    exchange tier.
+    One scan ingests and fingerprints the pages (``pipeline.scan_sign``;
+    no text is pinned), and ``pipeline.signed_reps`` keeps one
+    fingerprint per distinct hash. Tiers (module docstring): a small
+    pin finds, verifies and clusters its pairs on the driver; otherwise
+    the engine's exchange tier.
     """
-    from .ingest import ingest
-    from .pipeline import assign_clusters, distinct_reps
+    from .pipeline import assign_clusters, scan_sign, signed_reps
 
     cfg = cfg or DedupConfig()
-    ing = ingest(pages, cfg).materialize()  # consumed by reps + assignment
-    # one count serves rep selection AND cluster sizing (no execution
-    # while the pin fits exchange.pinned_table's guard)
-    dup_hashes, dup_cnts = dup_key_counts(ing, "doc_hash")
-    # reps has exactly one consumer (the fingerprint pass, pinned next
-    # line): leave it lazy so rep texts stream straight into the
-    # fingerprinter without an extra full-text object-store round-trip
-    reps = distinct_reps(
-        ing, dups=dup_hashes, n_buckets=cfg.join_buckets,
-        max_broadcast_rows=cfg.broadcast_max_rows,
-    )
-    fps = simhash_fingerprints(reps, cfg).materialize()
+    # one scan ingests and fingerprints the first row per hash of each
+    # batch; the reps come with the url counts that size the clusters
+    pin = scan_sign(pages, cfg, SimHasher(cfg))
+    fps, dup_hashes, dup_cnts = signed_reps(pin, cfg)
     k = simhash_kernel(fps.count(), cfg, hamming_max, exact_multiset)
     labels = component_labels(fps, cfg, k)
-    return assign_clusters(ing, labels, dup_hashes, dup_cnts, cfg, _OUT)
+    return assign_clusters(pin, labels, dup_hashes, dup_cnts, cfg, _OUT)

@@ -74,6 +74,24 @@ def test_partial_checkpoint_resumes_later_stage_only(tmp_path):
     assert second == first
 
 
+def test_stale_p4_edges_stage_is_retired(tmp_path):
+    """A root written before ``p4_labels`` replaced the ``p4_edges``
+    stage loses that stage when the flagship runs on it, so
+    ``stage_stats`` (CLI ``--stats``) no longer lists it."""
+    table, _ = make_pages(n_exact_groups=3, n_near_groups=3, n_singletons=10)
+    cfg = DedupConfig(min_size=1)
+    stale = tmp_path / "p4_edges"
+    (stale / "data").mkdir(parents=True)
+    (stale / "manifest.json").write_text(
+        json.dumps({"stage": "p4_edges", "completed": True, "rows": 3})
+    )
+    stages = lambda ck: [s["stage"] for s in ck.stage_stats()]  # noqa: E731
+    assert stages(CheckpointManager(str(tmp_path), cfg)) == ["p4_edges"]
+    _, ck = _run(tmp_path, cfg, table)
+    assert not stale.exists()
+    assert stages(ck) == ["p1_ingested", "p3_signatures", "p4_labels"]
+
+
 def test_distributed_backend_checkpoints_labels_as_parquet(tmp_path, monkeypatch):
     """Component labels past the broadcast guard
     (``broadcast_max_rows=0``) take the distributed tier — the Dataset

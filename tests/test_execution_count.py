@@ -34,16 +34,45 @@ def executions(monkeypatch):
     return n
 
 
+@pytest.fixture
+def scan_pins(monkeypatch):
+    """Column names of every ``pipeline.scan_sign`` pin a call makes."""
+    import dedup.incremental as inc
+    import dedup.pipeline as pl
+
+    names = []
+    run = pl.scan_sign
+
+    def spied(*a, **k):
+        pin = run(*a, **k)
+        names.append(pin.schema().names)
+        return pin
+
+    monkeypatch.setattr(pl, "scan_sign", spied)
+    monkeypatch.setattr(inc, "scan_sign", spied)
+    return names
+
+
+def _no_text(scan_pins, n):
+    """``n`` scan pins were made and none of them holds the text."""
+    assert len(scan_pins) == n, scan_pins
+    assert all("text" not in names for names in scan_pins), scan_pins
+
+
 def _pages():
     table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=30)
     return rd.from_arrow(table)
 
 
-def test_near_dup_pipeline_executions(executions):
+def test_near_dup_pipeline_executions(executions, scan_pins):
+    """The scan that ingests and signs, then the caller's collect: the
+    reps, duplicate counts, pairs and components come from the pin on
+    the driver (memory tier)."""
     pages = _pages()
     out = collect_table(near_dup_pipeline(pages, DedupConfig(min_size=1)).clusters)
     assert len(out) > 0
-    assert executions[0] <= 5, executions[0]
+    assert executions[0] <= 2, executions[0]
+    _no_text(scan_pins, 1)
 
 
 def test_exact_clusters_executions(executions):
@@ -53,13 +82,14 @@ def test_exact_clusters_executions(executions):
     assert executions[0] <= 2, executions[0]
 
 
-def test_simhash_clusters_executions(executions):
-    """Ingest pin, fingerprint pin, the caller's collect: pairs are
-    found, verified and clustered on the driver (memory tier)."""
+def test_simhash_clusters_executions(executions, scan_pins):
+    """The scan pin (ingest + fingerprints), the caller's collect: pairs
+    are found, verified and clustered on the driver (memory tier)."""
     pages = _pages()
     out = collect_table(simhash_clusters(pages, DedupConfig(min_size=1)))
     assert len(out) > 0
-    assert executions[0] <= 3, executions[0]
+    assert executions[0] <= 2, executions[0]
+    _no_text(scan_pins, 1)
 
 
 def test_pinned_dup_counts_run_nothing(executions):
@@ -75,12 +105,12 @@ def test_pinned_dup_counts_run_nothing(executions):
     assert keys.tolist() == list(range(7)) and int(cnts.sum()) == 1000
 
 
-def test_incremental_executions(executions, tmp_path):
+def test_incremental_executions(executions, scan_pins, tmp_path):
     """``incremental_dedup`` + ``update_index`` + the caller's collect of
     the kept pages, against an index of the other half of the corpus:
-    the ingest and signature pins, then the collect. Every index probe,
-    the verification, the classification and the index writes run on
-    the driver (memory tier)."""
+    the scan pin (ingest + signatures), then the collect. Every index
+    probe, the verification, the classification and the index writes
+    run on the driver (memory tier)."""
     from dedup.incremental import build_index, incremental_dedup, update_index
 
     table, _ = make_pages(n_exact_groups=4, n_near_groups=6, n_singletons=30)
@@ -94,30 +124,36 @@ def test_incremental_executions(executions, tmp_path):
     kept = collect_table(res.kept)
     update_index(idx, res.kept_sigs, cfg)
     assert len(res.report) > 0 and len(kept) > 0
-    assert executions[0] - before <= 3, executions[0] - before
+    assert executions[0] - before <= 2, executions[0] - before
+    _no_text(scan_pins, 2)
 
 
-def test_build_index_executions(executions, tmp_path):
-    """The ingest pin (``dup_keys`` reads it) and the signature pin; the
-    sig and band files and the Bloom sidecar are written from memory."""
+def test_build_index_executions(executions, scan_pins, tmp_path):
+    """The scan pin (ingest + signatures; its reps are read on the
+    driver); the sig and band files and the Bloom sidecar are written
+    from memory."""
     from dedup.incremental import build_index
 
     mf = build_index(_pages(), DedupConfig(min_size=1), str(tmp_path / "index"))
     assert mf["n_docs"] > 0
-    assert executions[0] <= 2, executions[0]
+    assert executions[0] <= 1, executions[0]
+    _no_text(scan_pins, 1)
 
 
-def test_build_index_forced_tier_executions(executions, tmp_path, monkeypatch):
-    """With no pin on the driver (``_DRIVER_READ_MAX=-1``): the ingest
-    pin, its dup count, the signature pin, the sig and band writes, and
-    the Bloom build over the signature pin, which reads no written
-    file back."""
+def test_build_index_forced_tier_executions(
+    executions, scan_pins, tmp_path, monkeypatch
+):
+    """With no pin on the driver (``_DRIVER_READ_MAX=-1``): the scan
+    pin, its dup count, the reps pin, the sig and band writes, and
+    the Bloom build over the reps pin, which reads no written file
+    back."""
     import dedup.exchange as ex
     from dedup.incremental import build_index
 
     monkeypatch.setattr(ex, "_DRIVER_READ_MAX", -1)
     mf = build_index(_pages(), DedupConfig(min_size=1), str(tmp_path / "index"))
     assert mf["n_docs"] > 0
+    _no_text(scan_pins, 1)
     reads = [ops for ops in executions[1:] if any("ReadParquet" in o for o in ops)]
     assert not reads, reads
     assert executions[0] <= 6, executions[0]
@@ -151,7 +187,9 @@ def lp_runs(monkeypatch):
     return n
 
 
-def test_forced_exchange_tier_runs_no_schema_probe(executions, lp_runs, monkeypatch):
+def test_forced_exchange_tier_runs_no_schema_probe(
+    executions, lp_runs, scan_pins, monkeypatch
+):
     """The flagship with no pin on the driver (``_DRIVER_READ_MAX=-1``)
     and no map within the broadcast guard (``broadcast_max_rows=0``):
     every join runs, the star edges take label propagation (its one
@@ -172,9 +210,10 @@ def test_forced_exchange_tier_runs_no_schema_probe(executions, lp_runs, monkeypa
     assert not probes, probes
     assert lp_runs[0] == 1, lp_runs[0]
     assert executions[0] <= 15, executions[0]
+    _no_text(scan_pins, 1)
 
 
-def test_forced_simhash_tier_executions(executions, lp_runs, monkeypatch):
+def test_forced_simhash_tier_executions(executions, lp_runs, scan_pins, monkeypatch):
     """``simhash_clusters`` on the same forced tier: one label
     propagation (the star edges), the per-group verify + label, and the
     Dataset assignment — no edge set is collected onto the driver."""
@@ -189,6 +228,7 @@ def test_forced_simhash_tier_executions(executions, lp_runs, monkeypatch):
     assert not probes, probes
     assert lp_runs[0] == 1, lp_runs[0]
     assert executions[0] <= 15, executions[0]
+    _no_text(scan_pins, 1)
 
 
 def test_forced_join_tiers_run_no_schema_probe(executions, monkeypatch):
